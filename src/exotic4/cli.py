@@ -22,6 +22,7 @@ from .report import (
     render_json,
     render_table,
     run,
+    unique_families,
 )
 
 
@@ -41,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--r", default="1", help="second order parameter (default 1)")
     parser.add_argument("--m", default="1", help="transform multiplicity (default 1)")
     parser.add_argument(
-        "--limit", type=int, default=DEFAULT_LIMIT,
-        help=f"coset-table size bound (default {DEFAULT_LIMIT})",
+        "--limit", type=int,
+        help=f"coset-table size bound (default: the spec's limit line, else {DEFAULT_LIMIT})",
     )
     parser.add_argument(
         "--format", choices=("json", "table"), default="table",
@@ -66,7 +67,7 @@ def _spec_from_args(args) -> RunSpec:
         except OSError as exc:
             raise SpecError(f"cannot read spec file: {exc}", 0) from None
         spec = parse_spec(text)
-        if args.limit != DEFAULT_LIMIT:
+        if args.limit is not None:
             spec = RunSpec(spec.families, spec.customs, args.limit)
         return spec
     if args.k is None or args.n is None:
@@ -78,11 +79,8 @@ def _spec_from_args(args) -> RunSpec:
             values[flag] = parse_range(text)
         except ValueError:
             raise SpecError(f"bad --{flag} value {text!r} (want int or lo..hi)", 0) from None
-    families = expand_family(values)
-    seen = set()
-    unique = [f for f in families if not (f in seen or seen.add(f))]
-    unique.sort(key=lambda f: (f.k, f.n, f.p, f.r, f.m))
-    return RunSpec(tuple(unique), (), args.limit)
+    limit = DEFAULT_LIMIT if args.limit is None else args.limit
+    return RunSpec(unique_families(expand_family(values)), (), limit)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,10 +1,11 @@
 """Todd-Coxeter coset enumeration over the trivial subgroup.
 
-HLT-style relator tracing with lookahead on table overflow is the default;
-a Felsch-style deduction-driven strategy sits behind `strategy="felsch"`.
-Both follow the presentation in Holt, "Handbook of Computational Group
-Theory", section 5.2.  Coincidences are handled by union-find with path
-compression, keeping the smallest coset id as survivor.
+HLT-style relator tracing (Haselgrove-Leech-Trotter: define cosets to close
+every relator scan) with one lookahead pass each time the table fills, as
+presented in Holt, "Handbook of Computational Group Theory", section 5.2.
+Table columns are the letters of `presentations._to_letters`: generator i
+is column 2i and its inverse 2i+1.  Coincidences are handled by union-find
+with path compression, keeping the smallest coset id as survivor.
 
 Hitting the coset limit is an outcome, not an error: callers receive
 LimitExceeded and decide what to do.
@@ -12,11 +13,10 @@ LimitExceeded and decide what to do.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 
-from .presentations import Presentation
+from .presentations import Presentation, _to_letters
 
 DEFAULT_LIMIT = 1_000_000
 
@@ -36,7 +36,6 @@ class EnumerationStats:
     definitions: int
     coincidences: int
     max_live: int
-    duration: float
 
 
 @dataclass(frozen=True)
@@ -57,48 +56,22 @@ class _Overflow(Exception):
     pass
 
 
-def _relator_columns(presentation: Presentation) -> list[tuple[int, ...]]:
-    """Relators as tuples of column indices: generator i -> 2i, inverse -> 2i+1."""
-    index = {n: i for i, n in enumerate(presentation.generators)}
-    cols, seen = [], set()
-    for rel in presentation.relators:
-        w = rel.cyclically_reduced()
-        flat: list[int] = []
-        for name, exp in w.syllables:
-            col = 2 * index[name] + (0 if exp > 0 else 1)
-            flat.extend([col] * abs(exp))
-        t = tuple(flat)
-        if t and t not in seen:
-            seen.add(t)
-            cols.append(t)
-    return cols
-
-
 class _Enumerator:
-    def __init__(self, presentation: Presentation, limit: int, felsch: bool):
+    def __init__(self, presentation: Presentation, limit: int):
+        col = {n: 2 * i for i, n in enumerate(presentation.generators)}
         self.ncols = 2 * len(presentation.generators)
-        self.relators = _relator_columns(presentation)
+        # Cyclically reduced relators as column tuples, duplicates dropped.
+        self.relators = list(dict.fromkeys(
+            tuple(map(ord, _to_letters(r.cyclically_reduced(), col)))
+            for r in presentation.relators
+        ))
         self.limit = limit
-        self.felsch = felsch
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p = [0]
         self.live = 1
         self.definitions = 0
         self.coincidences = 0
         self.max_live = 1
-        self.deductions: list[tuple[int, int]] = []
-        if felsch:
-            # Cyclic rotations of every relator and its inverse, grouped by
-            # first column, so a deduction (alpha, x) only rescans words
-            # that can see it.
-            self.by_first: dict[int, list[tuple[int, ...]]] = {}
-            for w in self.relators:
-                variants = set()
-                for word in (w, tuple(c ^ 1 for c in reversed(w))):
-                    for i in range(len(word)):
-                        variants.add(word[i:] + word[:i])
-                for v in sorted(variants):
-                    self.by_first.setdefault(v[0], []).append(v)
 
     def rep(self, k: int) -> int:
         l = k
@@ -115,9 +88,6 @@ class _Enumerator:
     def _set(self, a: int, x: int, b: int):
         self.table[a][x] = b
         self.table[b][x ^ 1] = a
-        if self.felsch:
-            self.deductions.append((a, x))
-            self.deductions.append((b, x ^ 1))
 
     def define(self, a: int, x: int):
         if self.live >= self.limit:
@@ -221,7 +191,7 @@ class _Enumerator:
         self._compact()
         return self.live < self.limit, new_ptr
 
-    def run_hlt(self) -> Completed | LimitExceeded:
+    def run(self) -> Completed | LimitExceeded:
         ptr = 0
         while ptr < len(self.table):
             if not self.alive(ptr):
@@ -246,40 +216,9 @@ class _Enumerator:
                     return LimitExceeded(self.live)
         return Completed(self.live)
 
-    def _drain_deductions(self):
-        while self.deductions:
-            a, x = self.deductions.pop()
-            a = self.rep(a)
-            for w in self.by_first.get(x, ()):
-                self.scan(a, w, fill=False)
-                if not self.alive(a):
-                    break
-
-    def run_felsch(self) -> Completed | LimitExceeded:
-        try:
-            while True:
-                self._drain_deductions()
-                target = None
-                for a in range(len(self.table)):
-                    if not self.alive(a):
-                        continue
-                    for x in range(self.ncols):
-                        if self.table[a][x] is None:
-                            target = (a, x)
-                            break
-                    if target:
-                        break
-                if target is None:
-                    return Completed(self.live)
-                self.define(*target)
-        except _Overflow:
-            return LimitExceeded(self.live)
-
 
 def enumerate_cosets(
-    presentation: Presentation,
-    limit: int = DEFAULT_LIMIT,
-    strategy: str = "hlt",
+    presentation: Presentation, limit: int = DEFAULT_LIMIT
 ) -> EnumerationOutcome:
     """Enumerate cosets of the trivial subgroup.
 
@@ -287,59 +226,13 @@ def enumerate_cosets(
     enumeration completes in bounded time for finite groups given a large
     enough limit; for infinite groups it always returns LimitExceeded.
     """
-    if strategy not in ("hlt", "felsch"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if limit < 1:
         raise ValueError("limit must be positive")
-    start = time.perf_counter()
-    enum = _Enumerator(presentation, limit, felsch=(strategy == "felsch"))
-    result = enum.run_felsch() if strategy == "felsch" else enum.run_hlt()
+    enum = _Enumerator(presentation, limit)
+    result = enum.run()
     stats = EnumerationStats(
         definitions=enum.definitions,
         coincidences=enum.coincidences,
         max_live=enum.max_live,
-        duration=time.perf_counter() - start,
     )
     return EnumerationOutcome(result, stats)
-
-
-@dataclass(frozen=True)
-class CollapseResult:
-    """Outcome of `certified_collapse`.
-
-    `presentation` is the final simplified presentation: the empty one when
-    enumeration certified the group is trivial, otherwise the best Tietze
-    reduction.  `certified` is True exactly when the result is backed by a
-    Completed(1) certificate (or the simplifier reached zero generators on
-    its own)."""
-
-    presentation: Presentation
-    simplification: "TietzeResult"
-    enumeration: EnumerationOutcome | None
-    certified: bool
-
-
-def certified_collapse(
-    presentation: Presentation,
-    limit: int = DEFAULT_LIMIT,
-    strategy: str = "hlt",
-) -> CollapseResult:
-    """Fully collapse a presentation of the trivial group, with a certificate.
-
-    Generator elimination alone usually plateaus on balanced presentations
-    of the trivial group, so when the simplifier stalls short of zero
-    generators this runs coset enumeration on the original presentation
-    (whose redundant relators are what make the collapse tractable).  A
-    Completed(1) outcome proves the group is trivial, which certifies the
-    empty presentation as the fully simplified form.
-    """
-    from .presentations import tietze_simplify
-
-    simplification = tietze_simplify(presentation)
-    reduced = simplification.presentation
-    if not reduced.generators:
-        return CollapseResult(reduced, simplification, None, True)
-    outcome = enumerate_cosets(presentation, limit=limit, strategy=strategy)
-    if outcome.completed and outcome.index == 1:
-        return CollapseResult(Presentation((), ()), simplification, outcome, True)
-    return CollapseResult(reduced, simplification, outcome, False)

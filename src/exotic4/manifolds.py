@@ -480,9 +480,7 @@ class Pi1Verdict:
     certifies_trivial: bool
 
 
-def verify_pi1(
-    model: ManifoldModel, *, limit: int = DEFAULT_LIMIT, strategy: str = "hlt"
-) -> Pi1Verdict:
+def verify_pi1(model: ManifoldModel, *, limit: int = DEFAULT_LIMIT) -> Pi1Verdict:
     """Check the claimed pi1 = Z/p + Z/r of a family model.
 
     Enumeration runs on the as-built presentation first: its redundant
@@ -504,12 +502,12 @@ def verify_pi1(
     expected = None
     if p >= 1 and r >= 1:
         expected = p * r
-        enumeration = enumerate_cosets(model.presentation, limit=limit, strategy=strategy)
+        enumeration = enumerate_cosets(model.presentation, limit=limit)
         enumerated = "as-built"
         if not enumeration.completed and len(simplification.presentation.generators) < len(
             model.presentation.generators
         ):
-            retry = enumerate_cosets(simplification.presentation, limit=limit, strategy=strategy)
+            retry = enumerate_cosets(simplification.presentation, limit=limit)
             if retry.completed:
                 enumeration, enumerated = retry, "simplified"
     enum_ok = enumeration is None or (
@@ -568,11 +566,11 @@ class ComplementVerdict:
 
 
 def verify_complement(
-    model: ManifoldModel, *, limit: int = DEFAULT_LIMIT, strategy: str = "hlt"
+    model: ManifoldModel, *, limit: int = DEFAULT_LIMIT
 ) -> ComplementVerdict:
     """Certify that the torus complement is simply connected."""
     pres = complement_presentation(model)
-    outcome = enumerate_cosets(pres, limit=limit, strategy=strategy)
+    outcome = enumerate_cosets(pres, limit=limit)
     return ComplementVerdict(outcome, outcome.completed and outcome.index == 1)
 
 

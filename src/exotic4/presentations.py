@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import GeneratorSymbol, Word
+from .words import Word
 
 
 class Presentation:
@@ -29,13 +29,6 @@ class Presentation:
         self.generators = gens
         self.relators = rels
 
-    @property
-    def symbols(self) -> tuple[GeneratorSymbol, ...]:
-        return tuple(GeneratorSymbol(n, i) for i, n in enumerate(self.generators))
-
-    def index_of(self, name: str) -> int:
-        return self.generators.index(name)
-
     def without_relator(self, rel: Word) -> "Presentation":
         """Drop the first relator equal (as a reduced word) to `rel`."""
         target = Word(rel.syllables)
@@ -43,9 +36,6 @@ class Presentation:
             if r == target:
                 return Presentation(self.generators, self.relators[:i] + self.relators[i + 1:])
         raise ValueError(f"relator {rel} not present")
-
-    def with_relators(self, *rels: Word) -> "Presentation":
-        return Presentation(self.generators, self.relators + tuple(rels))
 
     def __eq__(self, other) -> bool:
         return (
@@ -71,21 +61,17 @@ class TietzeResult:
     completed: bool
 
 
-def _to_letters(w: Word, col: dict[str, int]) -> bytes:
-    """Letter-level encoding: generator i -> byte 2i, its inverse -> 2i+1."""
-    out = bytearray()
-    for name, exp in w.syllables:
-        c = col[name] + (0 if exp > 0 else 1)
-        out.extend([c] * abs(exp))
-    return bytes(out)
+def _to_letters(w: Word, col: dict[str, int]) -> str:
+    """The one letter encoding of a relator: generator i is letter 2i, its
+    inverse 2i+1, and a word is the str of those letters' code points.
+    `col` maps each generator name to 2i."""
+    return "".join(
+        chr(col[name] + (0 if exp > 0 else 1)) * abs(exp) for name, exp in w.syllables
+    )
 
 
-def _from_letters(letters: bytes, names: list[str]) -> Word:
-    return Word((names[c >> 1], 1 if c % 2 == 0 else -1) for c in letters)
-
-
-def _letters_inverse(letters: bytes) -> bytes:
-    return bytes(c ^ 1 for c in reversed(letters))
+def _from_letters(letters: str, names: list[str]) -> Word:
+    return Word((names[ord(c) >> 1], 1 if ord(c) % 2 == 0 else -1) for c in letters)
 
 
 def _shorten_pass(relators: list[Word], generators, cap: int) -> tuple[list[Word], int]:
@@ -95,13 +81,15 @@ def _shorten_pass(relators: list[Word], generators, cap: int) -> tuple[list[Word
     |u| > |v| and u occurs in another relator, that occurrence may be replaced
     by v^-1, strictly shortening it.  This is a Tietze move (multiply by a
     conjugate of the relator) and is what unlocks eliminations the plain
-    substitution pass cannot see.  Needs fewer than 128 generators for the
-    byte encoding; larger presentations skip the pass.
+    substitution pass cannot see.
     """
     names = list(generators)
-    if len(names) >= 128:
-        return relators, 0
     col = {n: 2 * i for i, n in enumerate(names)}
+    swap = {c: c ^ 1 for c in range(2 * len(names))}
+
+    def inverse(letters: str) -> str:
+        return letters[::-1].translate(swap)
+
     words = [_to_letters(r, col) for r in relators]
     rewrites = 0
     changed = True
@@ -120,7 +108,7 @@ def _shorten_pass(relators: list[Word], generators, cap: int) -> tuple[list[Word
                 h = len(r) // 2 + 1
                 if len(r) < 2 or h > len(s):
                     continue
-                for variant, base in enumerate((r, _letters_inverse(r))):
+                for variant, base in enumerate((r, inverse(r))):
                     dd = base + base
                     for off in range(len(r)):
                         u = dd[off:off + h]
@@ -133,13 +121,13 @@ def _shorten_pass(relators: list[Word], generators, cap: int) -> tuple[list[Word
             if best is None:
                 continue
             q, ri, variant, off = best
-            r = words[ri] if variant == 0 else _letters_inverse(words[ri])
+            r = words[ri] if variant == 0 else inverse(words[ri])
             dd = r + r
             h = len(r) // 2 + 1
             u = dd[off:off + h]
             v = dd[off + h:off + len(r)]
             rotated = doubled_s[q:q + len(s)]
-            new = _letters_inverse(v) + rotated[h:]
+            new = inverse(v) + rotated[h:]
             w = _from_letters(new, names).cyclically_reduced()
             words[si] = _to_letters(w, col)
             rewrites += 1

@@ -12,6 +12,7 @@ it contains no wall-clock data, so a fixed spec yields byte-identical output
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -189,6 +190,11 @@ def expand_family(values: dict[str, tuple[int, ...]]) -> tuple[FamilyParams, ...
     return tuple(out)
 
 
+def unique_families(families: Iterable[FamilyParams]) -> tuple[FamilyParams, ...]:
+    """Drop repeated grid points and sort by (k, n, p, r, m)."""
+    return tuple(sorted(set(families), key=lambda f: (f.k, f.n, f.p, f.r, f.m)))
+
+
 def parse_spec(text: str) -> RunSpec:
     """Parse the run-spec language.
 
@@ -276,14 +282,7 @@ def parse_spec(text: str) -> RunSpec:
             raise SpecError(f"unknown directive {head!r}", lineno)
     if block is not None:
         raise SpecError("unterminated custom block (missing end)", 0)
-    seen = set()
-    unique = []
-    for fp in families:
-        if fp not in seen:
-            seen.add(fp)
-            unique.append(fp)
-    unique.sort(key=lambda f: (f.k, f.n, f.p, f.r, f.m))
-    return RunSpec(tuple(unique), tuple(customs), limit)
+    return RunSpec(unique_families(families), tuple(customs), limit)
 
 
 def _enumeration_record(outcome: EnumerationOutcome | None) -> dict | None:
@@ -383,16 +382,6 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             verdicts["transform"] = {"status": "pass", "m": params.m}
         except CertificateError as exc:
             verdicts["transform"] = {"status": "fail", "reason": str(exc)}
-            record["name"] = model.name
-            record["char"] = _char_record(model)
-            record["h1"] = str(model.h1)
-            record["presentation"] = _presentation_record(model.presentation)
-            record["symplectic"] = model.symplectic_flag
-            record["certifications"] = sorted(model.certifications)
-            record["notes"] = list(model.notes)
-            record["sw"] = None
-            record["passed"] = False
-            return record
 
     record["name"] = model.name
     record["char"] = _char_record(model)
@@ -401,6 +390,12 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
     record["symplectic"] = model.symplectic_flag
     record["certifications"] = sorted(model.certifications)
     record["notes"] = list(model.notes)
+
+    if verdicts.get("transform", {}).get("status") == "fail":
+        # A refused transform leaves no model to classify.
+        record["sw"] = None
+        record["passed"] = False
+        return record
 
     if model.form is not None:
         form = classify_form(model.form)
@@ -546,7 +541,7 @@ def run(spec: RunSpec, jobs: int = 1) -> dict:
     """Execute a run spec and assemble the deterministic report dict."""
     tasks = [(params, spec.limit) for params in spec.families]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             records = list(pool.map(_family_task, tasks))
     else:
         records = [_family_task(t) for t in tasks]

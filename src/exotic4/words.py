@@ -8,12 +8,7 @@ representation and equality is tuple equality.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
-
-
-class GeneratorSymbol(NamedTuple):
-    name: str
-    index: int
+from typing import Iterable
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -7,6 +7,7 @@ as-built presentations and together take several minutes of CPU time; the
 and reported for information only.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -195,10 +196,17 @@ def test_criterion_10_family_with_matching_topology_but_distinct_smooth_structur
           "pairwise nondiffeomorphic, n=1 symplectic / n>=2 not")
 
 
+# sha256 of the sweep's JSON report.  A change that alters any report byte
+# must update this constant and say why.
+SWEEP_SHA256 = "df2380180532ae69f84aa136509b650c004438fbfb629ad7d303757ba0ea283a"
+
+
 def test_criterion_11_reports_are_byte_stable(twice_run_sweep):
     first, second = twice_run_sweep
     bytes_a = render_json(first).encode()
     bytes_b = render_json(second).encode()
     assert bytes_a == bytes_b
+    digest = hashlib.sha256(bytes_a).hexdigest()
+    assert digest == SWEEP_SHA256, f"sweep report sha256 is now {digest}"
     print(f"criterion 11: two full-sweep reports byte-identical "
           f"({len(bytes_a)} bytes)")

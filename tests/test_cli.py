@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from exotic4 import report
 from exotic4.report import SpecError, parse_spec
 
 
@@ -132,6 +133,37 @@ def test_transform_refusal_is_a_failed_verdict():
     model = json.loads(proc.stdout)["models"][0]
     assert model["verdicts"]["transform"]["status"] == "fail"
     assert "certificate" in model["verdicts"]["transform"]["reason"]
+
+
+def test_limit_flag_overrides_the_spec_limit(tmp_path):
+    # --limit wins over the spec's limit line even when it equals the default.
+    spec = tmp_path / "run.spec"
+    spec.write_text("family k=2 n=1 p=0\nlimit 5000\n")
+    proc = run_cli("--spec", str(spec), "--limit", "1000000", "--format", "json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["run"]["limit"] == 1_000_000
+
+
+def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(report, "ProcessPoolExecutor", FakePool)
+    result = report.run(parse_spec("family k=2 n=1..2 p=0\n"), jobs=500)
+    assert seen == [2]
+    assert result["summary"]["passed"] == 2
 
 
 # ---------------------------------------------------------------- happy paths
