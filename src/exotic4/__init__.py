@@ -10,133 +10,27 @@ basic-class bookkeeping that distinguishes the smooth structures.
 
 __version__ = "0.1.0"
 
-from .words import Word, gen, commutator, relator, parse_word, parse_relation
-from .presentations import Presentation, TietzeResult, tietze_simplify
-from .coset import (
-    Completed,
-    LimitExceeded,
-    EnumerationOutcome,
-    enumerate_cosets,
-    DEFAULT_LIMIT,
-)
-from .intlinalg import (
-    IntMatrix,
-    smith_normal_form,
-    determinant,
-    exponent_matrix,
-    abelian_invariants,
-    AbelianInvariants,
-    classify_form,
-    signature_and_rank,
-    FormType,
-)
 from .manifolds import (
     FamilyParams,
-    CharNumbers,
-    SurgeryMove,
-    ManifoldModel,
-    ParameterError,
-    ScheduleMismatchError,
-    CertificateError,
-    PI1_TRIVIAL,
-    COMPLEMENT_TRIVIAL,
-    build_Xk,
-    build_Mkn,
-    build_Zk,
-    schedule_Mkn,
-    apply_schedule,
     apply_log_transform,
-    claimed_invariants,
-    verify_pi1,
-    with_pi1_certificate,
-    complement_presentation,
+    build_Mkn,
     verify_complement,
+    verify_pi1,
     with_complement_certificate,
-    Pi1Verdict,
-    ComplementVerdict,
+    with_pi1_certificate,
 )
-from .sw import (
-    ClassVector,
-    BasicClassSet,
-    ContractError,
-    enumerate_Zk_candidates,
-    basic_classes,
-    spin_parity,
-    classify_homeomorphism,
-    irreducibility_check,
-    distinguish,
-    symplectic_tag,
-    HomeoVerdict,
-    IrreducibilityVerdict,
-    SmoothVerdict,
-)
-from .report import RunSpec, SpecError, parse_spec, run, render_json, render_table
+from .sw import basic_classes, classify_homeomorphism, distinguish
 
 __all__ = [
-    "Word",
-    "gen",
-    "commutator",
-    "relator",
-    "parse_word",
-    "parse_relation",
-    "Presentation",
-    "TietzeResult",
-    "tietze_simplify",
-    "Completed",
-    "LimitExceeded",
-    "EnumerationOutcome",
-    "enumerate_cosets",
-    "DEFAULT_LIMIT",
-    "IntMatrix",
-    "smith_normal_form",
-    "determinant",
-    "exponent_matrix",
-    "abelian_invariants",
-    "AbelianInvariants",
-    "classify_form",
-    "signature_and_rank",
-    "FormType",
     "FamilyParams",
-    "CharNumbers",
-    "SurgeryMove",
-    "ManifoldModel",
-    "ParameterError",
-    "ScheduleMismatchError",
-    "CertificateError",
-    "PI1_TRIVIAL",
-    "COMPLEMENT_TRIVIAL",
-    "build_Xk",
     "build_Mkn",
-    "build_Zk",
-    "schedule_Mkn",
-    "apply_schedule",
-    "apply_log_transform",
-    "claimed_invariants",
     "verify_pi1",
     "with_pi1_certificate",
-    "complement_presentation",
     "verify_complement",
     "with_complement_certificate",
-    "Pi1Verdict",
-    "ComplementVerdict",
-    "ClassVector",
-    "BasicClassSet",
-    "ContractError",
-    "enumerate_Zk_candidates",
-    "basic_classes",
-    "spin_parity",
+    "apply_log_transform",
     "classify_homeomorphism",
-    "irreducibility_check",
+    "basic_classes",
     "distinguish",
-    "symplectic_tag",
-    "HomeoVerdict",
-    "IrreducibilityVerdict",
-    "SmoothVerdict",
-    "RunSpec",
-    "SpecError",
-    "parse_spec",
-    "run",
-    "render_json",
-    "render_table",
     "__version__",
 ]

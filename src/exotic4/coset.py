@@ -3,8 +3,8 @@
 HLT-style relator tracing (Haselgrove-Leech-Trotter: define cosets to close
 every relator scan) with one lookahead pass each time the table fills, as
 presented in Holt, "Handbook of Computational Group Theory", section 5.2.
-Table columns are the letters of `presentations._to_letters`: generator i
-is column 2i and its inverse 2i+1.  Coincidences are handled by union-find
+Table columns are the letters of `presentations.relator_letters`: generator
+i is column 2i and its inverse 2i+1.  Coincidences are handled by union-find
 with path compression, keeping the smallest coset id as survivor.
 
 Hitting the coset limit is an outcome, not an error: callers receive
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .presentations import Presentation, _to_letters
+from .presentations import Presentation, relator_letters
 
 DEFAULT_LIMIT = 1_000_000
 
@@ -58,12 +58,10 @@ class _Overflow(Exception):
 
 class _Enumerator:
     def __init__(self, presentation: Presentation, limit: int):
-        col = {n: 2 * i for i, n in enumerate(presentation.generators)}
         self.ncols = 2 * len(presentation.generators)
         # Cyclically reduced relators as column tuples, duplicates dropped.
         self.relators = list(dict.fromkeys(
-            tuple(map(ord, _to_letters(r.cyclically_reduced(), col)))
-            for r in presentation.relators
+            tuple(map(ord, s)) for s in relator_letters(presentation)
         ))
         self.limit = limit
         self.table: list[list[int | None]] = [[None] * self.ncols]

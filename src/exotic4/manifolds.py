@@ -462,11 +462,10 @@ class Pi1Verdict:
 
     `h1_check` compares the abelianization against the claimed Z/p + Z/r.
     `enumeration` is the coset-enumeration certificate over the trivial
-    subgroup (None if the claimed group is infinite and enumeration was
-    skipped); `enumerated` says which presentation the certificate is for
-    ("as-built" or "simplified").  `simplification` carries the generator
-    -elimination evidence.  `certifies_trivial` is True exactly when the
-    enumeration completed with index 1.
+    subgroup for the as-built presentation (None if the claimed group is
+    infinite and enumeration was skipped).  `simplification` carries the
+    generator-elimination evidence.  `certifies_trivial` is True exactly when
+    the enumeration completed with index 1.
     """
 
     claimed: AbelianInvariants
@@ -474,7 +473,6 @@ class Pi1Verdict:
     h1_check: bool
     simplification: TietzeResult
     enumeration: EnumerationOutcome | None
-    enumerated: str | None
     expected_index: int | None
     passed: bool
     certifies_trivial: bool
@@ -483,10 +481,12 @@ class Pi1Verdict:
 def verify_pi1(model: ManifoldModel, *, limit: int = DEFAULT_LIMIT) -> Pi1Verdict:
     """Check the claimed pi1 = Z/p + Z/r of a family model.
 
-    Enumeration runs on the as-built presentation first: its redundant
+    Enumeration runs on the as-built presentation only: its redundant
     parallel-copy commuting relators make coset collapse fast, whereas the
-    Tietze-simplified remainders (balanced near-trivial presentations) tend
-    to stall.  The simplified presentation is only tried as a fallback.
+    Tietze-simplified remainders (balanced near-trivial presentations) stall,
+    and at no limit tried did the simplified presentation complete where the
+    as-built one had not.  The simplification is kept as elimination
+    evidence.
     """
     if model.params is None:
         raise ParameterError("pi1 verification needs family parameters")
@@ -498,18 +498,10 @@ def verify_pi1(model: ManifoldModel, *, limit: int = DEFAULT_LIMIT) -> Pi1Verdic
     h1_check = computed == claimed
     simplification = tietze_simplify(model.presentation)
     enumeration = None
-    enumerated = None
     expected = None
     if p >= 1 and r >= 1:
         expected = p * r
         enumeration = enumerate_cosets(model.presentation, limit=limit)
-        enumerated = "as-built"
-        if not enumeration.completed and len(simplification.presentation.generators) < len(
-            model.presentation.generators
-        ):
-            retry = enumerate_cosets(simplification.presentation, limit=limit)
-            if retry.completed:
-                enumeration, enumerated = retry, "simplified"
     enum_ok = enumeration is None or (
         enumeration.completed and enumeration.index == expected
     )
@@ -522,7 +514,6 @@ def verify_pi1(model: ManifoldModel, *, limit: int = DEFAULT_LIMIT) -> Pi1Verdic
         h1_check=h1_check,
         simplification=simplification,
         enumeration=enumeration,
-        enumerated=enumerated,
         expected_index=expected,
         passed=h1_check and enum_ok,
         certifies_trivial=certifies_trivial,

@@ -1,7 +1,14 @@
-"""Finite presentations and Tietze simplification by generator elimination."""
+"""Finite presentations and Tietze simplification by generator elimination.
+
+This module owns the letter encoding that Tietze simplification and coset
+enumeration work on: generator i is letter 2i, its inverse 2i+1, and a
+relator is the str of its letters' code points (see `relator_letters`).
+Inversion is a reversal plus `translate`, substitution one `translate`.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .words import Word
@@ -61,39 +68,48 @@ class TietzeResult:
     completed: bool
 
 
-def _to_letters(w: Word, col: dict[str, int]) -> str:
-    """The one letter encoding of a relator: generator i is letter 2i, its
-    inverse 2i+1, and a word is the str of those letters' code points.
-    `col` maps each generator name to 2i."""
-    return "".join(
-        chr(col[name] + (0 if exp > 0 else 1)) * abs(exp) for name, exp in w.syllables
-    )
+def _reduced(letters: str) -> str:
+    """Free and then cyclic reduction of a letter string."""
+    out: list[str] = []
+    for c in letters:
+        if out and ord(out[-1]) == ord(c) ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    i, j = 0, len(out) - 1
+    while i < j and ord(out[i]) == ord(out[j]) ^ 1:
+        i, j = i + 1, j - 1
+    return "".join(out[i:j + 1])
 
 
-def _from_letters(letters: str, names: list[str]) -> Word:
+def relator_letters(presentation: Presentation) -> list[str]:
+    """The relators as freely and cyclically reduced letter strings, in order."""
+    col = {name: 2 * i for i, name in enumerate(presentation.generators)}
+    return [
+        _reduced("".join(
+            chr(col[name] + (0 if exp > 0 else 1)) * abs(exp) for name, exp in r.syllables
+        ))
+        for r in presentation.relators
+    ]
+
+
+def _from_letters(letters: str, names: tuple[str, ...]) -> Word:
     return Word((names[ord(c) >> 1], 1 if ord(c) % 2 == 0 else -1) for c in letters)
 
 
-def _shorten_pass(relators: list[Word], generators, cap: int) -> tuple[list[Word], int]:
-    """Shorten relators against each other.
+def _shorten_pass(words: list[str], inverse, cap: int) -> tuple[int, bool]:
+    """Shorten relators against each other, in place.
 
     If some cyclic rotation of a relator (or its inverse) splits as u*v with
     |u| > |v| and u occurs in another relator, that occurrence may be replaced
     by v^-1, strictly shortening it.  This is a Tietze move (multiply by a
     conjugate of the relator) and is what unlocks eliminations the plain
-    substitution pass cannot see.
+    substitution pass cannot see.  Returns (rewrites, finished); finished is
+    False when a rewrite was due after `cap` rewrites had been made.
     """
-    names = list(generators)
-    col = {n: 2 * i for i, n in enumerate(names)}
-    swap = {c: c ^ 1 for c in range(2 * len(names))}
-
-    def inverse(letters: str) -> str:
-        return letters[::-1].translate(swap)
-
-    words = [_to_letters(r, col) for r in relators]
     rewrites = 0
     changed = True
-    while changed and rewrites < cap:
+    while changed:
         changed = False
         for si in range(len(words)):
             s = words[si]
@@ -120,44 +136,34 @@ def _shorten_pass(relators: list[Word], generators, cap: int) -> tuple[list[Word
                             best = key
             if best is None:
                 continue
+            if rewrites >= cap:
+                return rewrites, False
             q, ri, variant, off = best
             r = words[ri] if variant == 0 else inverse(words[ri])
             dd = r + r
             h = len(r) // 2 + 1
-            u = dd[off:off + h]
             v = dd[off + h:off + len(r)]
             rotated = doubled_s[q:q + len(s)]
-            new = inverse(v) + rotated[h:]
-            w = _from_letters(new, names).cyclically_reduced()
-            words[si] = _to_letters(w, col)
+            words[si] = _reduced(inverse(v) + rotated[h:])
             rewrites += 1
             changed = True
-    out = [_from_letters(wl, names) for wl in words]
-    return out, rewrites
+    return rewrites, True
 
 
-def _canonical(w: Word) -> tuple:
-    """Representative of {w, w^-1} used to drop duplicate relators."""
-    return min(w.syllables, w.inverse().syllables)
-
-
-def _cleanup(relators: list[Word]) -> list[Word]:
+def _cleanup(words: list[str], inverse) -> list[str]:
+    """Drop empty relators and repeats of a relator or of its inverse."""
     out, seen = [], set()
-    for r in relators:
-        r = r.cyclically_reduced()
-        if r.is_identity():
-            continue
-        key = _canonical(r)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(r)
+    for s in words:
+        key = min(s, inverse(s))
+        if s and key not in seen:
+            seen.add(key)
+            out.append(s)
     return out
 
 
-def _find_candidate(relators: list[Word], gen_index: dict[str, int]):
-    """Best (relator position, syllable position) where a generator occurs
-    exactly once with exponent +-1, so the relator defines it.
+def _find_candidate(words: list[str]):
+    """Best (relator position, letter position) whose generator occurs
+    exactly once in that relator, so the relator defines it.
 
     Candidates are ranked by the worst-case total length the substitution can
     add, (len(r) - 1) * (occurrences of g outside r), so cheap eliminations
@@ -166,18 +172,13 @@ def _find_candidate(relators: list[Word], gen_index: dict[str, int]):
     """
     best = None
     best_key = None
-    occurrences: dict[str, int] = {}
-    for r in relators:
-        for name, exp in r.syllables:
-            occurrences[name] = occurrences.get(name, 0) + abs(exp)
-    for ri, r in enumerate(relators):
-        counts: dict[str, int] = {}
-        for name, _ in r.syllables:
-            counts[name] = counts.get(name, 0) + 1
-        for pos, (name, exp) in enumerate(r.syllables):
-            if abs(exp) == 1 and counts[name] == 1:
-                cost = (r.length - 1) * (occurrences[name] - 1)
-                key = (cost, r.length, gen_index[name], ri, pos)
+    occurrences = Counter(ord(c) >> 1 for s in words for c in s)
+    for ri, s in enumerate(words):
+        counts = Counter(ord(c) >> 1 for c in s)
+        for pos, c in enumerate(s):
+            g = ord(c) >> 1
+            if counts[g] == 1:
+                key = ((len(s) - 1) * (occurrences[g] - 1), len(s), g, ri)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (ri, pos)
@@ -191,39 +192,53 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
     substitute everywhere, dropping both g and the relator; generators with a
     length <= 2 defining relator go first, then longer ones, ordered by
     generator index.  Between eliminations, relators are shortened against
-    each other (see _shorten_pass), cyclically reduced and deduplicated.
-    `budget` caps the total number of eliminations plus rewrites; on
-    exhaustion the best presentation so far is returned with completed=False.
+    each other (see _shorten_pass) and deduplicated.  `budget` caps the total
+    number of eliminations plus rewrites; when it stops one, the presentation
+    reached so far is returned with completed=False.
     """
-    gens = list(presentation.generators)
-    gen_index = {n: i for i, n in enumerate(presentation.generators)}
-    relators = _cleanup(list(presentation.relators))
-    log: list[tuple[str, Word, Word]] = []
+    names = presentation.generators
+    swap = {c: c ^ 1 for c in range(2 * len(names))}
+
+    def inverse(s: str) -> str:
+        return s[::-1].translate(swap)
+
+    words = _cleanup(relator_letters(presentation), inverse)
+    eliminated: list[tuple[int, str, str]] = []
     steps = 0
-    completed = True
     while True:
-        relators, rewrites = _shorten_pass(relators, gens, cap=max(0, budget - steps))
+        rewrites, completed = _shorten_pass(words, inverse, budget - steps)
         steps += rewrites
-        relators = _cleanup(relators)
-        cand = _find_candidate(relators, gen_index)
+        words = _cleanup(words, inverse)
+        if not completed:
+            break
+        cand = _find_candidate(words)
         if cand is None:
             break
         if steps >= budget:
             completed = False
             break
         ri, pos = cand
-        r = relators[ri]
-        name, exp = r.syllables[pos]
-        before = Word(r.syllables[:pos])
-        after = Word(r.syllables[pos + 1:])
-        # r = before * g^e * after = 1  solves to the replacement below.
-        if exp == 1:
-            replacement = before.inverse() * after.inverse()
-        else:
-            replacement = after * before
-        del relators[ri]
-        relators = _cleanup([w.substitute(name, replacement) for w in relators])
-        gens.remove(name)
-        log.append((name, r, replacement))
+        s = words.pop(ri)
+        letter = ord(s[pos])
+        g = letter >> 1
+        # s = before * g^e * after = 1 solves to g^-e = after * before.
+        replacement = s[pos + 1:] + s[:pos]
+        if letter == 2 * g:  # e = +1
+            replacement = inverse(replacement)
+        table = {2 * g: replacement, 2 * g + 1: inverse(replacement)}
+        words = _cleanup([_reduced(w.translate(table)) for w in words], inverse)
+        eliminated.append((g, s, replacement))
         steps += 1
-    return TietzeResult(Presentation(gens, relators), tuple(log), steps, completed)
+    gone = {g for g, _, _ in eliminated}
+    return TietzeResult(
+        Presentation(
+            [name for i, name in enumerate(names) if i not in gone],
+            [_from_letters(w, names) for w in words],
+        ),
+        tuple(
+            (names[g], _from_letters(s, names), _from_letters(rep, names))
+            for g, s, rep in eliminated
+        ),
+        steps,
+        completed,
+    )

@@ -32,6 +32,7 @@ from .manifolds import (
     apply_schedule,
     build_Mkn,
     build_Xk,
+    family_generators,
     verify_complement,
     verify_pi1,
     with_complement_certificate,
@@ -231,6 +232,11 @@ def parse_spec(text: str) -> RunSpec:
                     rel = parse_relation(arg)
                 except WordSyntaxError as exc:
                     raise SpecError(f"bad relation: {exc}", lineno) from None
+                stray = rel.symbols() - set(family_generators(block["k"]))
+                if stray:
+                    raise SpecError(
+                        f"unknown generators {sorted(stray)} for k={block['k']}", lineno
+                    )
                 block["removed" if head == "remove" else "added"].append(rel)
             else:
                 raise SpecError(f"expected remove/add/end in custom block, got {head!r}", lineno)
@@ -350,7 +356,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             "h1_check": verdict.h1_check,
             "expected_index": verdict.expected_index,
             "enumeration": _enumeration_record(verdict.enumeration),
-            "enumerated": verdict.enumerated,
+            "enumerated": "as-built" if verdict.enumeration is not None else None,
             "tietze": {
                 "generators_before": len(model.presentation.generators),
                 "generators_after": len(verdict.simplification.presentation.generators),

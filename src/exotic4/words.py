@@ -70,22 +70,6 @@ class Word:
         """by^-1 * self * by."""
         return by.inverse() * self * by
 
-    def cyclically_reduced(self) -> "Word":
-        syl = list(self.syllables)
-        while len(syl) > 1 and syl[0][0] == syl[-1][0]:
-            name, e0 = syl[0]
-            _, e1 = syl[-1]
-            if (e0 > 0) == (e1 > 0):
-                break
-            # Cancel the smaller run off both ends.
-            m = min(abs(e0), abs(e1))
-            syl[0] = (name, e0 + (m if e0 < 0 else -m))
-            syl[-1] = (name, e1 + (m if e1 < 0 else -m))
-            syl = [s for s in syl if s[1] != 0]
-            if len(syl) == 1:
-                break
-        return Word(_reduce(syl))
-
     def substitute(self, name: str, replacement: "Word") -> "Word":
         """Replace every occurrence of generator `name` by `replacement`."""
         parts: list[tuple[str, int]] = []

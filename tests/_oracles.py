@@ -38,6 +38,14 @@ def stack_reduce(letters) -> list[tuple[str, int]]:
     return stack
 
 
+def cyclic_reduce(letters) -> list[tuple[str, int]]:
+    """Free reduction, then strip inverse pairs off the two ends."""
+    stack = stack_reduce(letters)
+    while len(stack) > 1 and stack[0][0] == stack[-1][0] and stack[0][1] == -stack[-1][1]:
+        stack = stack[1:-1]
+    return stack
+
+
 def random_syllables(rng: random.Random, names, count: int):
     """Unreduced (name, exponent) pairs for building fuzz words."""
     out = []

@@ -13,29 +13,28 @@ from dataclasses import replace
 
 import pytest
 
-from exotic4 import (
+from exotic4.intlinalg import classify_form, determinant, exponent_matrix, smith_normal_form
+from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
     PI1_TRIVIAL,
     FamilyParams,
     apply_log_transform,
-    basic_classes,
     build_Mkn,
     build_Xk,
     build_Zk,
     claimed_invariants,
-    classify_form,
-    classify_homeomorphism,
-    determinant,
-    enumerate_Zk_candidates,
-    exponent_matrix,
-    irreducibility_check,
-    smith_normal_form,
-    spin_parity,
     verify_complement,
     verify_pi1,
 )
 from exotic4.report import RunSpec, render_json, run
-from exotic4.sw import ClassVector
+from exotic4.sw import (
+    ClassVector,
+    basic_classes,
+    classify_homeomorphism,
+    enumerate_Zk_candidates,
+    irreducibility_check,
+    spin_parity,
+)
 
 
 def test_criterion_01_base_model_invariants_and_form():
@@ -159,14 +158,15 @@ def test_criterion_09_square_differences_certify_irreducibility():
 
 @pytest.fixture(scope="module")
 def twice_run_sweep():
-    """The k=2, n=1..3, m=1..2 sweep executed twice, end to end."""
+    """The k=2, n=1..3, m=1..2 sweep executed twice, end to end: once in this
+    process and once on two worker processes, forked from this one."""
     spec = RunSpec(
         tuple(
             FamilyParams(2, n, 1, 1, m) for n in (1, 2, 3) for m in (1, 2)
         ),
     )
     first = run(spec)
-    second = run(spec)
+    second = run(spec, jobs=2)
     return first, second
 
 
@@ -208,5 +208,5 @@ def test_criterion_11_reports_are_byte_stable(twice_run_sweep):
     assert bytes_a == bytes_b
     digest = hashlib.sha256(bytes_a).hexdigest()
     assert digest == SWEEP_SHA256, f"sweep report sha256 is now {digest}"
-    print(f"criterion 11: two full-sweep reports byte-identical "
+    print(f"criterion 11: full-sweep reports at jobs=1 and jobs=2 byte-identical "
           f"({len(bytes_a)} bytes)")

@@ -240,6 +240,15 @@ def test_spec_file_runs_customs_with_small_limits(tmp_path):
     assert model["verdicts"]["pi1"]["status"] == "reported"
 
 
+def test_custom_block_with_unknown_generator_is_a_usage_error(tmp_path):
+    spec = tmp_path / "run.spec"
+    spec.write_text("custom k=2\n  remove [b1, d3]\n  add zz\nend\n")
+    proc = run_cli("--spec", str(spec))
+    assert proc.returncode == 2
+    assert "line 3: unknown generators ['zz'] for k=2" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_spec_file_mismatched_swap_fails_only_that_record(tmp_path):
     spec = tmp_path / "run.spec"
     spec.write_text(

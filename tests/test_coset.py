@@ -2,18 +2,9 @@
 
 import pytest
 
-from exotic4 import (
-    DEFAULT_LIMIT,
-    Completed,
-    LimitExceeded,
-    Presentation,
-    commutator,
-    enumerate_cosets,
-    gen,
-    parse_relation,
-    parse_word,
-    tietze_simplify,
-)
+from exotic4.words import commutator, gen, parse_relation, parse_word
+from exotic4.presentations import Presentation, tietze_simplify
+from exotic4.coset import DEFAULT_LIMIT, Completed, LimitExceeded, enumerate_cosets
 
 
 def pres(gens, *texts):

@@ -4,18 +4,15 @@ import random
 
 import pytest
 
-from exotic4 import (
+from exotic4.words import commutator, gen, parse_relation, parse_word
+from exotic4.presentations import Presentation
+from exotic4.intlinalg import (
     AbelianInvariants,
     IntMatrix,
-    Presentation,
     abelian_invariants,
     classify_form,
-    commutator,
     determinant,
     exponent_matrix,
-    gen,
-    parse_relation,
-    parse_word,
     signature_and_rank,
     smith_normal_form,
 )

@@ -4,26 +4,26 @@ from dataclasses import replace
 
 import pytest
 
-from exotic4 import (
+from exotic4 import manifolds
+from exotic4.coset import LimitExceeded
+from exotic4.words import gen
+from exotic4.intlinalg import AbelianInvariants, abelian_invariants, classify_form
+from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
     PI1_TRIVIAL,
-    AbelianInvariants,
     CertificateError,
     CharNumbers,
     FamilyParams,
     ParameterError,
     ScheduleMismatchError,
     SurgeryMove,
-    abelian_invariants,
     apply_log_transform,
     apply_schedule,
     build_Mkn,
     build_Xk,
     build_Zk,
     claimed_invariants,
-    classify_form,
     complement_presentation,
-    gen,
     schedule_Mkn,
     verify_pi1,
 )
@@ -282,7 +282,7 @@ def test_complement_presentation_removes_one_commutator():
     model = build_Mkn(FamilyParams(2, 1))
     comp = complement_presentation(model)
     assert len(comp.relators) == len(model.presentation.relators) - 1
-    from exotic4 import commutator
+    from exotic4.words import commutator
 
     assert commutator(gen("b1"), gen("d2")) not in comp.relators
 
@@ -342,3 +342,19 @@ def test_log_transform_validates_multiplicity():
     model = certified(build_Mkn(FamilyParams(2, 1)))
     with pytest.raises(ParameterError):
         apply_log_transform(model, 0)
+
+
+def test_pi1_enumerates_only_the_as_built_presentation(monkeypatch):
+    calls = []
+    real = manifolds.enumerate_cosets
+
+    def counting(presentation, **kwargs):
+        calls.append(presentation)
+        return real(presentation, **kwargs)
+
+    monkeypatch.setattr(manifolds, "enumerate_cosets", counting)
+    model = build_Mkn(FamilyParams(2, 1))
+    verdict = verify_pi1(model, limit=2000)
+    assert calls == [model.presentation]
+    assert verdict.enumeration.result == LimitExceeded(2000)
+    assert not verdict.passed and not verdict.certifies_trivial

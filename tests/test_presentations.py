@@ -1,20 +1,23 @@
-"""Presentations and Tietze generator elimination."""
+"""Presentations, their letter view and Tietze generator elimination."""
 
+import hashlib
 import random
 
 import pytest
 
-from exotic4 import (
+from exotic4.words import commutator, gen, parse_word
+from exotic4.presentations import (
     Presentation,
-    abelian_invariants,
-    commutator,
-    enumerate_cosets,
-    gen,
-    parse_word,
+    _from_letters,
+    _reduced,
+    relator_letters,
     tietze_simplify,
 )
+from exotic4.coset import enumerate_cosets
+from exotic4.intlinalg import abelian_invariants
+from exotic4.manifolds import FamilyParams, build_Mkn
 
-from _oracles import random_syllables
+from _oracles import cyclic_reduce, flat_letters, random_syllables
 
 
 def pres(gens, *relator_texts):
@@ -34,6 +37,21 @@ def test_duplicate_generators_rejected():
 def test_empty_relators_are_dropped():
     p = pres(["a", "b"], "a*a^-1", "b")
     assert p.relators == (gen("b"),)
+
+
+def test_letter_reduction_matches_stack_oracle():
+    # The letter view strips a conjugating frame and leaves a commutator whole.
+    p = pres(["a", "b"], "a*b*a^-1", "[a,b]", "a^2*b*a^-3")
+    assert [str(_from_letters(s, p.generators)) for s in relator_letters(p)] == [
+        "b", "a^-1*b^-1*a*b", "b*a^-1",
+    ]
+    rng = random.Random(20261018)
+    names = ("a", "b", "c")
+    for _ in range(300):
+        letters = flat_letters(random_syllables(rng, names, rng.randint(0, 8)))
+        encoded = "".join(chr(2 * names.index(n) + (step < 0)) for n, step in letters)
+        reduced = _reduced(encoded)
+        assert flat_letters(_from_letters(reduced, names).syllables) == cyclic_reduce(letters)
 
 
 def test_two_killed_generators_collapse_to_nothing():
@@ -123,3 +141,46 @@ def test_presentations_compare_by_content():
     q = pres(["a"], "a^2")
     assert p == q and hash(p) == hash(q)
     assert p != pres(["a"], "a^3")
+
+
+# (steps, eliminations, generators, relators) and sha256 of str(presentation)
+# and of the elimination log, one "generator relator replacement" line each.
+PINNED_TIETZE = [
+    ((2, 1), (30, 5, 5, 22),
+     "6f7c1e333a0e29ce5ab5edcf434fbd534f81014bb5cc9b300456da61633d2d7d",
+     "f9818271a60e3074715e6428d188627b84a747189e446f20622e641948f46336"),
+    ((3, 1, 2, 2), (34, 5, 7, 30),
+     "a4aa794d5eb47ac43d1302b163a85ab4078e68b52e76c97ab5fd593541a474ab",
+     "8a9b806235fc2da310e4b41dd1cd3b5390535bec5cd12adf439ceec2c15e9f21"),
+    ((8, 1, 0, 0), (69, 10, 12, 65),
+     "a44e313d2426dc97e9f40e275e586816e39a23508bc563f1076821f3ca49fdc0",
+     "f86e3396db6762262c7032435b8945ba5bf44508187b6dd46795a305a4189d82"),
+]
+
+
+@pytest.mark.parametrize(
+    "params,counts,pres_sha,log_sha", PINNED_TIETZE,
+    ids=["M(2,1)", "M(3,1,2,2)", "M(8,1,0,0)"],
+)
+def test_family_simplification_is_pinned(params, counts, pres_sha, log_sha):
+    result = tietze_simplify(build_Mkn(FamilyParams(*params)).presentation)
+    out = result.presentation
+    assert result.completed
+    assert (result.steps, len(result.eliminations), len(out.generators),
+            len(out.relators)) == counts
+    log = "\n".join(f"{g} {r} {w}" for g, r, w in result.eliminations)
+    assert hashlib.sha256(str(out).encode()).hexdigest() == pres_sha
+    assert hashlib.sha256(log.encode()).hexdigest() == log_sha
+
+
+def test_budget_stops_exactly_at_its_value():
+    p = build_Mkn(FamilyParams(2, 1)).presentation
+    full = tietze_simplify(p)
+    assert full.steps == 30 and full.completed
+    assert tietze_simplify(p, budget=30) == full
+    for budget in (1, 29):
+        cut = tietze_simplify(p, budget=budget)
+        assert cut.steps == budget and not cut.completed
+    # Budget 29 leaves the last shortening undone.
+    assert sum(r.length for r in tietze_simplify(p, budget=29).presentation.relators) == 304
+    assert sum(r.length for r in full.presentation.relators) == 303

@@ -4,16 +4,18 @@ from dataclasses import replace
 
 import pytest
 
-from exotic4 import (
+from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
     PI1_TRIVIAL,
-    ClassVector,
-    ContractError,
     FamilyParams,
     apply_log_transform,
-    basic_classes,
     build_Mkn,
     build_Xk,
+)
+from exotic4.sw import (
+    ClassVector,
+    ContractError,
+    basic_classes,
     classify_homeomorphism,
     distinguish,
     enumerate_Zk_candidates,
