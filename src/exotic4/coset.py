@@ -7,6 +7,14 @@ Table columns are the letters of `presentations.relator_letters`: generator
 i is column 2i and its inverse 2i+1.  Coincidences are handled by union-find
 with path compression, keeping the smallest coset id as survivor.
 
+A lookahead pass skips the trace of relator w (length >= 2) at coset a when
+both a.w[0] and a.w[-1]^-1 are undefined: the forward trace then stops at
+letter 0 and the backward trace at letter len(w)-1, leaving a gap of two or
+more letters, so the trace could neither close, deduce nor coincide.  The
+test is made at trace time, because a coincidence from an earlier relator
+can fill the row of a.  Skipping changes no table entry, so results and
+counters are those of tracing every relator.
+
 Hitting the coset limit is an outcome, not an error: callers receive
 LimitExceeded and decide what to do.
 """
@@ -36,6 +44,7 @@ class EnumerationStats:
     definitions: int
     coincidences: int
     max_live: int
+    lookahead_passes: int
 
 
 @dataclass(frozen=True)
@@ -59,9 +68,10 @@ class _Overflow(Exception):
 class _Enumerator:
     def __init__(self, presentation: Presentation, limit: int):
         self.ncols = 2 * len(presentation.generators)
-        # Cyclically reduced relators as column tuples, duplicates dropped.
+        # Cyclically reduced relators as column tuples, duplicates and empty
+        # relators (whose trace closes at once) dropped.
         self.relators = list(dict.fromkeys(
-            tuple(map(ord, s)) for s in relator_letters(presentation)
+            tuple(map(ord, s)) for s in relator_letters(presentation) if s
         ))
         self.limit = limit
         self.table: list[list[int | None]] = [[None] * self.ncols]
@@ -70,6 +80,7 @@ class _Enumerator:
         self.definitions = 0
         self.coincidences = 0
         self.max_live = 1
+        self.lookahead_passes = 0
 
     def rep(self, k: int) -> int:
         l = k
@@ -127,10 +138,8 @@ class _Enumerator:
                 else:
                     self._set(mu, x, nu)
 
-    def scan(self, a: int, w: tuple[int, ...], fill: bool):
-        """Trace relator w at coset a.  With fill=True (HLT) new cosets are
-        defined to close the scan; otherwise only deductions and coincidences
-        are applied."""
+    def scan(self, a: int, w: tuple[int, ...]):
+        """Trace relator w at coset a, defining cosets to close the scan."""
         table = self.table
         f, i = a, 0
         b, j = a, len(w) - 1
@@ -152,40 +161,63 @@ class _Enumerator:
             if i == j:
                 self._set(f, w[i], b)
                 return
-            if not fill:
-                return
             self.define(f, w[i])
 
-    def _compact(self) -> list[int]:
-        """Drop dead rows, renumbering live cosets in order.  Returns the
-        old->new map (dead cosets map to -1)."""
+    def _compact(self):
+        """Drop dead rows, renumbering live cosets in order.  Rows are
+        rewritten in place: allocating a new list per row made compaction
+        slower."""
+        p = self.p
+        # A dead coset points at a smaller id, whose new id is then known.
         remap = [-1] * len(self.table)
         new = 0
         for a in range(len(self.table)):
-            if self.alive(a):
+            if p[a] == a:
                 remap[a] = new
                 new += 1
-        table = []
-        for a in range(len(self.table)):
-            if remap[a] < 0:
-                continue
-            table.append([None if e is None else remap[self.rep(e)] for e in self.table[a]])
-        self.table = table
+            else:
+                remap[a] = remap[p[a]]
+        self.table = [row for a, row in enumerate(self.table) if p[a] == a]
+        for row in self.table:
+            row[:] = [None if e is None else remap[e] for e in row]
         self.p = list(range(new))
-        return remap
 
     def _lookahead(self, ptr: int) -> tuple[bool, int]:
-        """Scan every relator at every live coset without defining, hoping
+        """Trace every relator at every live coset without defining, hoping
         coincidences free enough room to continue.  Always compacts, and
-        returns the compacted id of the first unprocessed coset."""
-        for a in range(len(self.table)):
-            if not self.alive(a):
+        returns the compacted id of the first unprocessed coset.
+
+        The trace is inlined and skips relator w at coset a when w has two or
+        more letters and a.w[0] and a.w[-1]^-1 are both undefined: the
+        forward trace would stop at i = 0 and the backward one at
+        j = len(w) - 1 > i, so it could not close, deduce or coincide.  The
+        rule is tested per trace, since an earlier relator's coincidence can
+        fill row a.  Traces, deductions and coincidences happen in the same
+        order as when every relator is traced."""
+        self.lookahead_passes += 1
+        table, p = self.table, self.p
+        relators = [(w, w[0], w[-1] ^ 1, len(w) - 1) for w in self.relators]
+        for a in range(len(table)):
+            if p[a] != a:
                 continue
-            for w in self.relators:
-                self.scan(a, w, fill=False)
-                if not self.alive(a):
-                    break
-        new_ptr = sum(1 for a in range(min(ptr, len(self.table))) if self.alive(a))
+            row = table[a]
+            for w, first, last, end in relators:
+                if end and row[first] is None and row[last] is None:
+                    continue
+                f, i = a, 0
+                b, j = a, end
+                while i <= j and (e := table[f][w[i]]) is not None:
+                    f, i = e, i + 1
+                while j >= i and (e := table[b][w[j] ^ 1]) is not None:
+                    b, j = e, j - 1
+                if i == j:
+                    table[f][w[i]] = b
+                    table[b][w[i] ^ 1] = f
+                elif j < i and f != b:
+                    self.coincidence(f, b)
+                    if p[a] != a:
+                        break
+        new_ptr = sum(1 for a in range(min(ptr, len(table))) if p[a] == a)
         self._compact()
         return self.live < self.limit, new_ptr
 
@@ -197,7 +229,7 @@ class _Enumerator:
                 continue
             try:
                 for w in self.relators:
-                    self.scan(ptr, w, fill=True)
+                    self.scan(ptr, w)
                     if not self.alive(ptr):
                         break
                 else:
@@ -232,5 +264,6 @@ def enumerate_cosets(
         definitions=enum.definitions,
         coincidences=enum.coincidences,
         max_live=enum.max_live,
+        lookahead_passes=enum.lookahead_passes,
     )
     return EnumerationOutcome(result, stats)

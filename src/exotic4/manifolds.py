@@ -16,7 +16,7 @@ complement must first be certified simply connected) produces M(k, n, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .coset import DEFAULT_LIMIT, EnumerationOutcome, enumerate_cosets
 from .intlinalg import AbelianInvariants, IntMatrix, abelian_invariants

@@ -20,7 +20,6 @@ from . import __version__
 from .coset import DEFAULT_LIMIT, EnumerationOutcome, enumerate_cosets
 from .intlinalg import classify_form
 from .manifolds import (
-    COMPLEMENT_TRIVIAL,
     PI1_TRIVIAL,
     CertificateError,
     FamilyParams,

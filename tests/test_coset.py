@@ -1,8 +1,11 @@
 """Coset enumeration over the trivial subgroup."""
 
+import hashlib
+import random
+
 import pytest
 
-from exotic4.words import commutator, gen, parse_relation, parse_word
+from exotic4.words import Word, commutator, gen, parse_relation, parse_word
 from exotic4.presentations import Presentation, tietze_simplify
 from exotic4.coset import DEFAULT_LIMIT, Completed, LimitExceeded, enumerate_cosets
 
@@ -69,10 +72,53 @@ def test_index_invariant_under_tietze_simplification():
 
 
 def test_stats_are_recorded():
-    # (definitions, coincidences, max_live) are exact and hardware-independent.
-    for presentation, expected in ((S3, (7, 2, 8)), (Q8, (7, 0, 8)), (Z5, (4, 0, 5))):
-        s = enumerate_cosets(presentation).stats
-        assert (s.definitions, s.coincidences, s.max_live) == expected
+    # (definitions, coincidences, max_live) and the lookahead pass count are
+    # exact and hardware-independent.
+    cases = [
+        (S3, DEFAULT_LIMIT, Completed(6), (7, 2, 8), 0),
+        (Q8, DEFAULT_LIMIT, Completed(8), (7, 0, 8), 0),
+        (Z5, DEFAULT_LIMIT, Completed(5), (4, 0, 5), 0),
+        # Just below and at the limit where a lookahead pass collapses.
+        (STUBBORN, 13, LimitExceeded(13), (12, 0, 13), 1),
+        (STUBBORN, 14, Completed(1), (14, 14, 14), 1),
+        (S3, 6, LimitExceeded(6), (5, 0, 6), 1),
+        (S3, 7, Completed(6), (6, 1, 7), 1),
+    ]
+    for presentation, limit, result, counts, passes in cases:
+        outcome = enumerate_cosets(presentation, limit=limit)
+        s = outcome.stats
+        assert outcome.result == result
+        assert (s.definitions, s.coincidences, s.max_live) == counts
+        assert s.lookahead_passes == passes
+
+
+def random_presentation(rng):
+    names = ("a", "b", "c")[: rng.randint(2, 3)]
+    relators = tuple(
+        Word((rng.choice(names), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(rng.randint(1, 6)))
+        for _ in range(rng.randint(len(names), len(names) + 2))
+    )
+    return Presentation(names, relators)
+
+
+# sha256 of the (result, definitions, coincidences, max_live) rows below,
+# recorded with a lookahead pass that traced every relator at every coset.
+FINGERPRINT_SHA256 = "4856d341f28472738a0c72b20446e0b8c1e2b247878f2452b99c584b1c0a7e1a"
+
+
+def test_enumeration_fingerprint_is_pinned():
+    rng = random.Random(2024)
+    rows = []
+    limited = 0
+    for _ in range(200):
+        presentation = random_presentation(rng)
+        outcome = enumerate_cosets(presentation, limit=rng.choice((5, 10, 20, 50, 200)))
+        s = outcome.stats
+        limited += isinstance(outcome.result, LimitExceeded)
+        rows.append(f"{outcome.result!r} {s.definitions} {s.coincidences} {s.max_live}")
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert limited >= 30
+    assert digest == FINGERPRINT_SHA256, digest
 
 
 def test_default_limit_is_a_million():
