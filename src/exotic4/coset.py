@@ -7,6 +7,13 @@ Table columns are the letters of `presentations.relator_letters`: generator
 i is column 2i and its inverse 2i+1.  Coincidences are handled by union-find
 with path compression, keeping the smallest coset id as survivor.
 
+Coset ids are permanent: a coset keeps the id it was defined with for the
+whole enumeration, and a dead coset's row is freed (set to None) as soon as
+its coincidence has drained it.  That is safe because the table keeps
+table[a][x] = b exactly when table[b][x^1] = a, so every pointer to a dead
+coset g is matched by an entry of g's row; draining the row clears those
+pointers, and once `coincidence` returns no row points at a dead coset.
+
 A lookahead pass skips the trace of relator w (length >= 2) at coset a when
 both a.w[0] and a.w[-1]^-1 are undefined: the forward trace then stops at
 letter 0 and the backward trace at letter len(w)-1, leaving a gap of two or
@@ -91,9 +98,6 @@ class _Enumerator:
             p[k], k = l, p[k]
         return l
 
-    def alive(self, a: int) -> bool:
-        return self.p[a] == a
-
     def _set(self, a: int, x: int, b: int):
         self.table[a][x] = b
         self.table[b][x ^ 1] = a
@@ -137,6 +141,7 @@ class _Enumerator:
                     merge(mu, self.table[nu][x ^ 1])
                 else:
                     self._set(mu, x, nu)
+            self.table[g] = None
 
     def scan(self, a: int, w: tuple[int, ...]):
         """Trace relator w at coset a, defining cosets to close the scan."""
@@ -163,29 +168,10 @@ class _Enumerator:
                 return
             self.define(f, w[i])
 
-    def _compact(self):
-        """Drop dead rows, renumbering live cosets in order.  Rows are
-        rewritten in place: allocating a new list per row made compaction
-        slower."""
-        p = self.p
-        # A dead coset points at a smaller id, whose new id is then known.
-        remap = [-1] * len(self.table)
-        new = 0
-        for a in range(len(self.table)):
-            if p[a] == a:
-                remap[a] = new
-                new += 1
-            else:
-                remap[a] = remap[p[a]]
-        self.table = [row for a, row in enumerate(self.table) if p[a] == a]
-        for row in self.table:
-            row[:] = [None if e is None else remap[e] for e in row]
-        self.p = list(range(new))
-
-    def _lookahead(self, ptr: int) -> tuple[bool, int]:
+    def _lookahead(self) -> bool:
         """Trace every relator at every live coset without defining, hoping
-        coincidences free enough room to continue.  Always compacts, and
-        returns the compacted id of the first unprocessed coset.
+        coincidences free enough room to continue.  Returns whether the
+        table has room for another coset.
 
         The trace is inlined and skips relator w at coset a when w has two or
         more letters and a.w[0] and a.w[-1]^-1 are both undefined: the
@@ -217,32 +203,29 @@ class _Enumerator:
                     self.coincidence(f, b)
                     if p[a] != a:
                         break
-        new_ptr = sum(1 for a in range(min(ptr, len(table))) if p[a] == a)
-        self._compact()
-        return self.live < self.limit, new_ptr
+        return self.live < self.limit
 
     def run(self) -> Completed | LimitExceeded:
+        p = self.p
         ptr = 0
         while ptr < len(self.table):
-            if not self.alive(ptr):
+            if p[ptr] != ptr:
                 ptr += 1
                 continue
             try:
                 for w in self.relators:
                     self.scan(ptr, w)
-                    if not self.alive(ptr):
+                    if p[ptr] != ptr:
                         break
                 else:
-                    if self.alive(ptr):
-                        for x in range(self.ncols):
-                            if self.table[ptr][x] is None:
-                                self.define(ptr, x)
+                    for x in range(self.ncols):
+                        if self.table[ptr][x] is None:
+                            self.define(ptr, x)
                 ptr += 1
             except _Overflow:
-                # Cosets below ptr are fully traced; resume from the first
-                # coset that is not (rescanning a survivor is harmless).
-                ok, ptr = self._lookahead(ptr)
-                if not ok:
+                # Cosets below ptr are fully traced and ids never change, so
+                # resume at ptr (rescanning a survivor is harmless).
+                if not self._lookahead():
                     return LimitExceeded(self.live)
         return Completed(self.live)
 

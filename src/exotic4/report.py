@@ -37,7 +37,7 @@ from .manifolds import (
     with_complement_certificate,
     with_pi1_certificate,
 )
-from .presentations import tietze_simplify
+from .presentations import TietzeResult, tietze_simplify
 from .sw import (
     basic_classes,
     classify_homeomorphism,
@@ -307,17 +307,28 @@ def _enumeration_record(outcome: EnumerationOutcome | None) -> dict | None:
     return record
 
 
-def _presentation_record(pres) -> dict:
+def _model_record(model: ManifoldModel) -> dict:
+    """The fields every model record carries, family or custom."""
+    c, pres = model.char, model.presentation
     return {
-        "generators": len(pres.generators),
-        "relators": len(pres.relators),
-        "total_length": sum(r.length for r in pres.relators),
+        "char": {"e": c.e, "sigma": c.sigma, "b1": c.b1, "b2": c.b2, "b2plus": c.b2plus},
+        "h1": str(model.h1),
+        "presentation": {
+            "generators": len(pres.generators),
+            "relators": len(pres.relators),
+            "total_length": sum(r.length for r in pres.relators),
+        },
+        "symplectic": model.symplectic_flag,
+        "notes": list(model.notes),
     }
 
 
-def _char_record(model: ManifoldModel) -> dict:
-    c = model.char
-    return {"e": c.e, "sigma": c.sigma, "b1": c.b1, "b2": c.b2, "b2plus": c.b2plus}
+def _tietze_record(model: ManifoldModel, simplification: TietzeResult) -> dict:
+    return {
+        "generators_before": len(model.presentation.generators),
+        "generators_after": len(simplification.presentation.generators),
+        "eliminations": len(simplification.eliminations),
+    }
 
 
 def _sw_record(classes) -> dict:
@@ -356,11 +367,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             "expected_index": verdict.expected_index,
             "enumeration": _enumeration_record(verdict.enumeration),
             "enumerated": "as-built" if verdict.enumeration is not None else None,
-            "tietze": {
-                "generators_before": len(model.presentation.generators),
-                "generators_after": len(verdict.simplification.presentation.generators),
-                "eliminations": len(verdict.simplification.eliminations),
-            },
+            "tietze": _tietze_record(model, verdict.simplification),
         }
     else:
         verdicts["pi1"] = {
@@ -389,12 +396,8 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             verdicts["transform"] = {"status": "fail", "reason": str(exc)}
 
     record["name"] = model.name
-    record["char"] = _char_record(model)
-    record["h1"] = str(model.h1)
-    record["presentation"] = _presentation_record(model.presentation)
-    record["symplectic"] = model.symplectic_flag
+    record.update(_model_record(model))
     record["certifications"] = sorted(model.certifications)
-    record["notes"] = list(model.notes)
 
     if verdicts.get("transform", {}).get("status") == "fail":
         # A refused transform leaves no model to classify.
@@ -481,21 +484,13 @@ def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
         return record
     simplification = tietze_simplify(model.presentation)
     outcome = enumerate_cosets(model.presentation, limit=limit)
-    record["char"] = _char_record(model)
-    record["h1"] = str(model.h1)
-    record["presentation"] = _presentation_record(model.presentation)
-    record["symplectic"] = model.symplectic_flag
-    record["notes"] = list(model.notes)
+    record.update(_model_record(model))
     record["verdicts"] = {
         "pi1": {
             "status": "reported",
             "computed_h1": str(model.h1),
             "enumeration": _enumeration_record(outcome),
-            "tietze": {
-                "generators_before": len(model.presentation.generators),
-                "generators_after": len(simplification.presentation.generators),
-                "eliminations": len(simplification.eliminations),
-            },
+            "tietze": _tietze_record(model, simplification),
         }
     }
     record["passed"] = True

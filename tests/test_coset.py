@@ -7,7 +7,13 @@ import pytest
 
 from exotic4.words import Word, commutator, gen, parse_relation, parse_word
 from exotic4.presentations import Presentation, tietze_simplify
-from exotic4.coset import DEFAULT_LIMIT, Completed, LimitExceeded, enumerate_cosets
+from exotic4.coset import (
+    DEFAULT_LIMIT,
+    Completed,
+    LimitExceeded,
+    _Enumerator,
+    enumerate_cosets,
+)
 
 
 def pres(gens, *texts):
@@ -17,6 +23,7 @@ def pres(gens, *texts):
 S3 = pres(["a", "b"], "a^2", "b^2", "(a*b)^3")
 Q8 = pres(["i", "j"], "i^4", "j^2 = i^2", "j^-1*i*j = i^-1")
 Z5 = pres(["a"], "a^5")
+A5 = pres(["a", "b"], "a^2", "b^3", "(a*b)^5")
 FREE2 = Presentation(("a", "b"), ())
 
 
@@ -83,6 +90,9 @@ def test_stats_are_recorded():
         (STUBBORN, 14, Completed(1), (14, 14, 14), 1),
         (S3, 6, LimitExceeded(6), (5, 0, 6), 1),
         (S3, 7, Completed(6), (6, 1, 7), 1),
+        # Several passes, and a resume after a pass that freed rows.
+        (A5, 60, LimitExceeded(60), (69, 10, 60), 3),
+        (A5, 61, Completed(60), (69, 10, 61), 2),
     ]
     for presentation, limit, result, counts, passes in cases:
         outcome = enumerate_cosets(presentation, limit=limit)
@@ -106,19 +116,41 @@ def random_presentation(rng):
 FINGERPRINT_SHA256 = "4856d341f28472738a0c72b20446e0b8c1e2b247878f2452b99c584b1c0a7e1a"
 
 
-def test_enumeration_fingerprint_is_pinned():
+def fingerprint_cases():
     rng = random.Random(2024)
-    rows = []
-    limited = 0
     for _ in range(200):
         presentation = random_presentation(rng)
-        outcome = enumerate_cosets(presentation, limit=rng.choice((5, 10, 20, 50, 200)))
+        yield presentation, rng.choice((5, 10, 20, 50, 200))
+
+
+def test_enumeration_fingerprint_is_pinned():
+    rows = []
+    limited = 0
+    for presentation, limit in fingerprint_cases():
+        outcome = enumerate_cosets(presentation, limit=limit)
         s = outcome.stats
         limited += isinstance(outcome.result, LimitExceeded)
         rows.append(f"{outcome.result!r} {s.definitions} {s.coincidences} {s.max_live}")
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert limited >= 30
     assert digest == FINGERPRINT_SHA256, digest
+
+
+def test_table_is_symmetric_and_dead_rows_are_freed():
+    # After a run, a live row points only at live cosets, each pointing
+    # back, and a dead coset's row is gone: no row can reach a dead coset.
+    dead = 0
+    for presentation, limit in [*fingerprint_cases(), (A5, 60), (A5, 61)]:
+        enum = _Enumerator(presentation, limit)
+        enum.run()
+        for a, row in enumerate(enum.table):
+            if enum.p[a] != a:
+                assert row is None
+                dead += 1
+                continue
+            for x, b in enumerate(row):
+                assert b is None or (enum.p[b] == b and enum.table[b][x ^ 1] == a)
+    assert dead > 0
 
 
 def test_default_limit_is_a_million():
