@@ -97,7 +97,9 @@ def _from_letters(letters: str, names: tuple[str, ...]) -> Word:
     return Word((names[ord(c) >> 1], 1 if ord(c) % 2 == 0 else -1) for c in letters)
 
 
-def _shorten_pass(words: list[str], inverse, cap: int) -> tuple[int, bool]:
+def _shorten_pass(
+    words: list[str], inverse, cap: int, misses: dict[str, set[str]]
+) -> tuple[int, bool]:
     """Shorten relators against each other, in place.
 
     If some cyclic rotation of a relator (or its inverse) splits as u*v with
@@ -106,7 +108,19 @@ def _shorten_pass(words: list[str], inverse, cap: int) -> tuple[int, bool]:
     conjugate of the relator) and is what unlocks eliminations the plain
     substitution pass cannot see.  Returns (rewrites, finished); finished is
     False when a rewrite was due after `cap` rewrites had been made.
+
+    `misses` maps a target relator to the source relators whose scan against
+    it found no occurrence.  Scanning a (target, source) pair reads only
+    those two strings, so a recorded miss stays a miss for as long as both
+    strings are relators, and the pair is skipped.  The caller keeps the
+    dict across passes; each pass first prunes it to the current relators.
     """
+    live = set(words)
+    for s in list(misses):
+        if s in live:
+            misses[s] &= live
+        else:
+            del misses[s]
     rewrites = 0
     changed = True
     while changed:
@@ -117,13 +131,15 @@ def _shorten_pass(words: list[str], inverse, cap: int) -> tuple[int, bool]:
                 continue
             best = None  # (position in s, source index, variant, offset)
             doubled_s = s + s
+            known = misses.setdefault(s, set())
             for ri in range(len(words)):
                 if ri == si:
                     continue
                 r = words[ri]
                 h = len(r) // 2 + 1
-                if len(r) < 2 or h > len(s):
+                if len(r) < 2 or h > len(s) or r in known:
                     continue
+                hit = False
                 for variant, base in enumerate((r, inverse(r))):
                     dd = base + base
                     for off in range(len(r)):
@@ -131,9 +147,12 @@ def _shorten_pass(words: list[str], inverse, cap: int) -> tuple[int, bool]:
                         q = doubled_s.find(u)
                         if q < 0 or q >= len(s):
                             continue
+                        hit = True
                         key = (q, ri, variant, off)
                         if best is None or key < best:
                             best = key
+                if not hit:
+                    known.add(r)
             if best is None:
                 continue
             if rewrites >= cap:
@@ -195,6 +214,10 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
     each other (see _shorten_pass) and deduplicated.  `budget` caps the total
     number of eliminations plus rewrites; when it stops one, the presentation
     reached so far is returned with completed=False.
+
+    One `misses` dict serves every shortening pass of the call: it records,
+    per target relator, the sources already shown not to occur in it, so a
+    pass rescans only pairs in which a string is new since that scan.
     """
     names = presentation.generators
     swap = {c: c ^ 1 for c in range(2 * len(names))}
@@ -204,9 +227,10 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
 
     words = _cleanup(relator_letters(presentation), inverse)
     eliminated: list[tuple[int, str, str]] = []
+    misses: dict[str, set[str]] = {}
     steps = 0
     while True:
-        rewrites, completed = _shorten_pass(words, inverse, budget - steps)
+        rewrites, completed = _shorten_pass(words, inverse, budget - steps, misses)
         steps += rewrites
         words = _cleanup(words, inverse)
         if not completed:

@@ -12,6 +12,7 @@ it contains no wall-clock data, so a fixed spec yields byte-identical output
 from __future__ import annotations
 
 import json
+import traceback
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -340,21 +341,30 @@ def _sw_record(classes) -> dict:
     }
 
 
-def run_family_model(params: FamilyParams, limit: int) -> dict:
-    """Build, verify, transform and classify one family member."""
-    record: dict = {
+def _family_record(params: FamilyParams) -> dict:
+    return {
         "kind": "family",
         "params": {"k": params.k, "n": params.n, "p": params.p, "r": params.r, "m": params.m},
+        "verdicts": {},
     }
-    verdicts: dict = {}
-    record["verdicts"] = verdicts
+
+
+def _failed_family_record(params: FamilyParams, error: str) -> dict:
+    record = _family_record(params)
+    record["name"] = f"M(k={params.k},n={params.n},p={params.p},r={params.r},m={params.m})"
+    record["error"] = error
+    record["passed"] = False
+    return record
+
+
+def run_family_model(params: FamilyParams, limit: int) -> dict:
+    """Build, verify, transform and classify one family member."""
     try:
         model = build_Mkn(params)
     except (ParameterError, ScheduleMismatchError) as exc:
-        record["name"] = f"M(k={params.k},n={params.n},p={params.p},r={params.r},m={params.m})"
-        record["error"] = str(exc)
-        record["passed"] = False
-        return record
+        return _failed_family_record(params, str(exc))
+    record = _family_record(params)
+    verdicts = record["verdicts"]
 
     if params.k >= 2:
         verdict = verify_pi1(model, limit=limit)
@@ -498,8 +508,17 @@ def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
 
 
 def _family_task(args: tuple) -> dict:
+    """One family model's record.  An exception raised while running it,
+    `MemoryError` included, becomes that model's failed record, so the other
+    models still report; its traceback goes to stderr, not into the report."""
     params, limit = args
-    return run_family_model(params, limit)
+    try:
+        return run_family_model(params, limit)
+    except Exception as exc:
+        traceback.print_exc()
+        detail = str(exc)
+        error = f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
+        return _failed_family_record(params, error)
 
 
 def _pairwise_records(records: list[dict]) -> list[dict]:

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from exotic4 import report
+from exotic4 import manifolds, report
+from exotic4.cli import main
 from exotic4.report import SpecError, parse_spec
 
 
@@ -164,6 +165,50 @@ def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
     result = report.run(parse_spec("family k=2 n=1..2 p=0\n"), jobs=500)
     assert seen == [2]
     assert result["summary"]["passed"] == 2
+
+
+def test_model_that_raises_becomes_a_failed_record(monkeypatch, capsys):
+    spec = parse_spec("family k=2 n=1..2 p=0\n")
+    normal = report.run(spec)["models"]
+    real = report.run_family_model
+
+    def exhausted(params, limit):
+        if params.n == 2:
+            raise MemoryError
+        return real(params, limit)
+
+    monkeypatch.setattr(report, "run_family_model", exhausted)
+    models = report.run(spec)["models"]
+    assert report.render_json({"m": models[0]}) == report.render_json({"m": normal[0]})
+    assert models[1] == {
+        "kind": "family",
+        "name": "M(k=2,n=2,p=0,r=1,m=1)",
+        "params": {"k": 2, "n": 2, "p": 0, "r": 1, "m": 1},
+        "verdicts": {},
+        "error": "MemoryError",
+        "passed": False,
+    }
+    assert main(["--k", "2", "--n", "1..2", "--p", "0", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["summary"] == {
+        "models": 2, "passed": 1, "failed": 1,
+    }
+
+
+def test_k1_model_is_reported_unverified_without_enumeration(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("k=1 must not enumerate")
+
+    monkeypatch.setattr(manifolds, "enumerate_cosets", no_enumeration)
+    monkeypatch.setattr(report, "enumerate_cosets", no_enumeration)
+    result = report.run(parse_spec("family k=1 n=1 p=1 r=1 m=1\nlimit 2000\n"))
+    (model,) = result["models"]
+    assert model["passed"] is True
+    assert model["verdicts"]["pi1"] == {
+        "status": "unverified",
+        "reason": "k=1: claims are modeled but not certified",
+    }
+    assert model["verdicts"]["complement"]["status"] == "not-applicable"
+    assert result["summary"] == {"models": 1, "passed": 1, "failed": 0}
 
 
 # ---------------------------------------------------------------- happy paths

@@ -1,11 +1,18 @@
-"""Every name a module of the package imports is used by that module."""
+"""Every name a module of the package or of its tests imports is used by that
+module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "exotic4"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "exotic4"
+# Package modules by file name, test modules as tests/<name>.
+MODULES = {
+    **{p.name: p for p in sorted(PACKAGE.glob("*.py"))},
+    **{f"tests/{p.name}": p for p in sorted(TESTS.glob("*.py"))},
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,9 +37,9 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_scan_finds_an_unused_import():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from exotic4.words import commutator, gen, parse_word
+from exotic4.words import Word, commutator, gen, parse_word
 from exotic4.presentations import (
     Presentation,
     _from_letters,
@@ -155,12 +155,18 @@ PINNED_TIETZE = [
     ((8, 1, 0, 0), (69, 10, 12, 65),
      "a44e313d2426dc97e9f40e275e586816e39a23508bc563f1076821f3ca49fdc0",
      "f86e3396db6762262c7032435b8945ba5bf44508187b6dd46795a305a4189d82"),
+    ((8, 1, 0, 1), (73, 11, 11, 64),
+     "571d81caf6d58058096700429b2e2515236894b576c5a217aad46186f1a3f464",
+     "e4f37f783ea616f07672b9e7a5700991a81ab4a0adc95e9f92eccccabb4dbc54"),
+    ((8, 1, 1, 0), (73, 11, 11, 64),
+     "e533677a9fda187fa20a256f9ccd659ee2892d72cedcc853c02e4ff78d2f2455",
+     "03b9ef50ead361299fddf83758697cccc63c44720effb6dde99b9e9af79e9fe8"),
 ]
 
 
 @pytest.mark.parametrize(
     "params,counts,pres_sha,log_sha", PINNED_TIETZE,
-    ids=["M(2,1)", "M(3,1,2,2)", "M(8,1,0,0)"],
+    ids=["M(2,1)", "M(3,1,2,2)", "M(8,1,0,0)", "M(8,1,0,1)", "M(8,1,1,0)"],
 )
 def test_family_simplification_is_pinned(params, counts, pres_sha, log_sha):
     result = tietze_simplify(build_Mkn(FamilyParams(*params)).presentation)
@@ -184,3 +190,36 @@ def test_budget_stops_exactly_at_its_value():
     # Budget 29 leaves the last shortening undone.
     assert sum(r.length for r in tietze_simplify(p, budget=29).presentation.relators) == 304
     assert sum(r.length for r in full.presentation.relators) == 303
+
+
+def tietze_cases():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        names = ("a", "b", "c", "d", "e")[: rng.randint(2, 5)]
+        relators = tuple(
+            Word(random_syllables(rng, names, rng.randint(1, 8)))
+            for _ in range(rng.randint(len(names) - 1, len(names) + 2))
+        )
+        presentation = Presentation(names, relators)
+        yield presentation, 100_000
+        yield presentation, rng.randint(0, 12)
+
+
+# sha256 of one "presentation | elimination log | steps completed" row per
+# tietze_cases() entry, recorded before relator pairs shown unable to shorten
+# each other were skipped.
+TIETZE_FINGERPRINT_SHA256 = "94fba16af973def3813cf42ecf38768e76b5e90c548e14976265a1a00545c782"
+
+
+def test_tietze_fingerprint_is_pinned():
+    rows = []
+    cut = rewritten = 0
+    for presentation, budget in tietze_cases():
+        result = tietze_simplify(presentation, budget=budget)
+        cut += not result.completed
+        rewritten += result.steps > len(result.eliminations)
+        log = "; ".join(f"{g} {r} {w}" for g, r, w in result.eliminations)
+        rows.append(f"{result.presentation} | {log} | {result.steps} {result.completed}")
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert cut >= 50 and rewritten >= 50, (cut, rewritten)
+    assert digest == TIETZE_FINGERPRINT_SHA256, digest
