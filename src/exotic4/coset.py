@@ -22,6 +22,12 @@ test is made at trace time, because a coincidence from an earlier relator
 can fill the row of a.  Skipping changes no table entry, so results and
 counters are those of tracing every relator.
 
+A lookahead pass also skips every coset below the HLT pointer `ptr`.  Each
+live one has been scanned closed by HLT: every relator traces from it back
+to it.  A closed trace stays closed through coincidences, because an edge
+c -> d always survives as rep(c) -> rep(d), so tracing it again would
+define, deduce and merge nothing.
+
 Hitting the coset limit is an outcome, not an error: callers receive
 LimitExceeded and decide what to do.
 """
@@ -76,10 +82,12 @@ class _Enumerator:
     def __init__(self, presentation: Presentation, limit: int):
         self.ncols = 2 * len(presentation.generators)
         # Cyclically reduced relators as column tuples, duplicates and empty
-        # relators (whose trace closes at once) dropped.
-        self.relators = list(dict.fromkeys(
-            tuple(map(ord, s)) for s in relator_letters(presentation) if s
-        ))
+        # relators (whose trace closes at once) dropped, each paired with its
+        # inverse columns for tracing backwards.
+        self.relators = [
+            (w, tuple(x ^ 1 for x in w))
+            for w in dict.fromkeys(tuple(map(ord, s)) for s in relator_letters(presentation) if s)
+        ]
         self.limit = limit
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p = [0]
@@ -88,19 +96,6 @@ class _Enumerator:
         self.coincidences = 0
         self.max_live = 1
         self.lookahead_passes = 0
-
-    def rep(self, k: int) -> int:
-        l = k
-        p = self.p
-        while p[l] != l:
-            l = p[l]
-        while p[k] != l:
-            p[k], k = l, p[k]
-        return l
-
-    def _set(self, a: int, x: int, b: int):
-        self.table[a][x] = b
-        self.table[b][x ^ 1] = a
 
     def define(self, a: int, x: int):
         if self.live >= self.limit:
@@ -111,67 +106,115 @@ class _Enumerator:
         self.live += 1
         self.definitions += 1
         self.max_live = max(self.max_live, self.live)
-        self._set(a, x, b)
+        self.table[a][x] = b
+        self.table[b][x ^ 1] = a
 
     def coincidence(self, a: int, b: int):
-        q: deque[int] = deque()
+        """Merge cosets a and b and every coincidence that follows.  A merge
+        queues the larger root; draining a queued coset's row moves each of
+        its edges onto the survivors, queueing further merges."""
+        table, p = self.table, self.p
 
-        def merge(k: int, l: int):
-            k, l = self.rep(k), self.rep(l)
-            if k != l:
-                mu, nu = min(k, l), max(k, l)
-                self.p[nu] = mu
-                q.append(nu)
-                self.live -= 1
-                self.coincidences += 1
+        def rep(k: int) -> int:
+            l = k
+            while p[l] != l:
+                l = p[l]
+            while p[k] != l:
+                p[k], k = l, p[k]
+            return l
 
-        merge(a, b)
+        if p[a] != a:
+            a = rep(a)
+        if p[b] != b:
+            b = rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        p[b] = a
+        q = deque((b,))
+        killed = 0
         while q:
             g = q.popleft()
-            row = self.table[g]
-            for x in range(self.ncols):
-                d = row[x]
+            killed += 1
+            row = table[g]
+            mu = p[g]
+            for x, d in enumerate(row):
                 if d is None:
                     continue
-                self.table[d][x ^ 1] = None
-                mu, nu = self.rep(g), self.rep(d)
-                if self.table[mu][x] is not None:
-                    merge(nu, self.table[mu][x])
-                elif self.table[nu][x ^ 1] is not None:
-                    merge(mu, self.table[nu][x ^ 1])
+                y = x ^ 1
+                table[d][y] = None
+                if p[mu] != mu:
+                    mu = rep(mu)
+                nu = d if p[d] == d else rep(d)
+                e = table[mu][x]
+                if e is not None:
+                    # merge nu with mu.x
+                    k = nu
+                elif (e := table[nu][y]) is not None:
+                    # merge mu with nu.x^-1
+                    k = mu
                 else:
-                    self._set(mu, x, nu)
-            self.table[g] = None
+                    table[mu][x] = nu
+                    table[nu][y] = mu
+                    continue
+                if p[e] != e:
+                    e = rep(e)
+                if e != k:
+                    if e < k:
+                        k, e = e, k
+                    p[e] = k
+                    q.append(e)
+            table[g] = None
+        self.live -= killed
+        self.coincidences += killed
 
-    def scan(self, a: int, w: tuple[int, ...]):
+    def scan(self, a: int, w: tuple[int, ...], inv: tuple[int, ...]):
         """Trace relator w at coset a, defining cosets to close the scan."""
-        table = self.table
+        table, p = self.table, self.p
         f, i = a, 0
         b, j = a, len(w) - 1
         while True:
-            while i <= j and table[f][w[i]] is not None:
-                f = table[f][w[i]]
-                i += 1
+            while i <= j and (e := table[f][w[i]]) is not None:
+                f, i = e, i + 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][w[j] ^ 1] is not None:
-                b = table[b][w[j] ^ 1]
-                j -= 1
+            while j >= i and (e := table[b][inv[j]]) is not None:
+                b, j = e, j - 1
             if j < i:
                 if f != b:
                     self.coincidence(f, b)
                 return
             if i == j:
-                self._set(f, w[i], b)
+                table[f][w[i]] = b
+                table[b][inv[i]] = f
                 return
-            self.define(f, w[i])
+            # Define f.w[i], as `define` does, and step onto it.
+            live = self.live
+            if live >= self.limit:
+                raise _Overflow
+            e = len(table)
+            row = [None] * self.ncols
+            row[inv[i]] = f
+            table.append(row)
+            p.append(e)
+            table[f][w[i]] = e
+            self.live = live = live + 1
+            self.definitions += 1
+            if live > self.max_live:
+                self.max_live = live
+            f, i = e, i + 1
 
-    def _lookahead(self) -> bool:
-        """Trace every relator at every live coset without defining, hoping
-        coincidences free enough room to continue.  Returns whether the
-        table has room for another coset.
+    def _lookahead(self, start: int) -> bool:
+        """Trace every relator at every live coset from `start` on without
+        defining, hoping coincidences free enough room to continue.  Returns
+        whether the table has room for another coset.
+
+        Cosets below `start` are skipped: HLT has scanned each of them
+        closed, and a closed trace stays closed through coincidences, so
+        tracing there would change nothing.
 
         The trace is inlined and skips relator w at coset a when w has two or
         more letters and a.w[0] and a.w[-1]^-1 are both undefined: the
@@ -179,26 +222,26 @@ class _Enumerator:
         j = len(w) - 1 > i, so it could not close, deduce or coincide.  The
         rule is tested per trace, since an earlier relator's coincidence can
         fill row a.  Traces, deductions and coincidences happen in the same
-        order as when every relator is traced."""
+        order as when every relator is traced at every coset."""
         self.lookahead_passes += 1
         table, p = self.table, self.p
-        relators = [(w, w[0], w[-1] ^ 1, len(w) - 1) for w in self.relators]
-        for a in range(len(table)):
-            if p[a] != a:
-                continue
+        relators = [(w, inv, w[0], inv[-1], len(w) - 1) for w, inv in self.relators]
+        for a in range(start, len(table)):
             row = table[a]
-            for w, first, last, end in relators:
+            if row is None:
+                continue
+            for w, inv, first, last, end in relators:
                 if end and row[first] is None and row[last] is None:
                     continue
                 f, i = a, 0
                 b, j = a, end
                 while i <= j and (e := table[f][w[i]]) is not None:
                     f, i = e, i + 1
-                while j >= i and (e := table[b][w[j] ^ 1]) is not None:
+                while j >= i and (e := table[b][inv[j]]) is not None:
                     b, j = e, j - 1
                 if i == j:
                     table[f][w[i]] = b
-                    table[b][w[i] ^ 1] = f
+                    table[b][inv[i]] = f
                 elif j < i and f != b:
                     self.coincidence(f, b)
                     if p[a] != a:
@@ -213,8 +256,8 @@ class _Enumerator:
                 ptr += 1
                 continue
             try:
-                for w in self.relators:
-                    self.scan(ptr, w)
+                for w, inv in self.relators:
+                    self.scan(ptr, w, inv)
                     if p[ptr] != ptr:
                         break
                 else:
@@ -224,8 +267,9 @@ class _Enumerator:
                 ptr += 1
             except _Overflow:
                 # Cosets below ptr are fully traced and ids never change, so
-                # resume at ptr (rescanning a survivor is harmless).
-                if not self._lookahead():
+                # resume at ptr (rescanning a survivor is harmless), and the
+                # lookahead need not trace below it.
+                if not self._lookahead(ptr):
                     return LimitExceeded(self.live)
         return Completed(self.live)
 

@@ -15,6 +15,7 @@ import json
 import traceback
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from . import __version__
@@ -474,6 +475,16 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
     return record
 
 
+def _failed_custom_record(custom: CustomSchedule, error: str) -> dict:
+    return {
+        "kind": "custom",
+        "name": custom.name,
+        "params": {"k": custom.k},
+        "error": error,
+        "passed": False,
+    }
+
+
 def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
     """Apply a user relation swap to X_k and report what can be computed."""
     record: dict = {"kind": "custom", "name": custom.name, "params": {"k": custom.k}}
@@ -489,9 +500,7 @@ def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
         )
         model = apply_schedule(base, (move,), name=custom.name)
     except (ParameterError, ScheduleMismatchError) as exc:
-        record["error"] = str(exc)
-        record["passed"] = False
-        return record
+        return _failed_custom_record(custom, str(exc))
     simplification = tietze_simplify(model.presentation)
     outcome = enumerate_cosets(model.presentation, limit=limit)
     record.update(_model_record(model))
@@ -507,6 +516,14 @@ def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
     return record
 
 
+def _failure(exc: Exception) -> str:
+    """Print the traceback of the exception being handled on stderr and
+    return the `error` text of the failed record that replaces the model's."""
+    traceback.print_exc()
+    detail = str(exc)
+    return f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
+
+
 def _family_task(args: tuple) -> dict:
     """One family model's record.  An exception raised while running it,
     `MemoryError` included, becomes that model's failed record, so the other
@@ -515,10 +532,31 @@ def _family_task(args: tuple) -> dict:
     try:
         return run_family_model(params, limit)
     except Exception as exc:
-        traceback.print_exc()
-        detail = str(exc)
-        error = f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
-        return _failed_family_record(params, error)
+        return _failed_family_record(params, _failure(exc))
+
+
+def _custom_task(custom: CustomSchedule, limit: int) -> dict:
+    """One custom model's record, failing the way `_family_task` does."""
+    try:
+        return run_custom_model(custom, limit)
+    except Exception as exc:
+        return _failed_custom_record(custom, _failure(exc))
+
+
+def _pool_records(tasks: list[tuple], jobs: int) -> list[dict]:
+    """Run the family tasks on worker processes.  A worker that dies outright
+    breaks the pool: every model whose record never arrived gets a failed
+    record with error `BrokenProcessPool`, and the others keep theirs."""
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        futures = [pool.submit(_family_task, task) for task in tasks]
+        records = []
+        for (params, _), future in zip(tasks, futures):
+            try:
+                records.append(future.result())
+            except BrokenProcessPool:
+                traceback.print_exc()
+                records.append(_failed_family_record(params, "BrokenProcessPool"))
+    return records
 
 
 def _pairwise_records(records: list[dict]) -> list[dict]:
@@ -560,11 +598,10 @@ def run(spec: RunSpec, jobs: int = 1) -> dict:
     """Execute a run spec and assemble the deterministic report dict."""
     tasks = [(params, spec.limit) for params in spec.families]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            records = list(pool.map(_family_task, tasks))
+        records = _pool_records(tasks, jobs)
     else:
         records = [_family_task(t) for t in tasks]
-    records += [run_custom_model(c, spec.limit) for c in spec.customs]
+    records += [_custom_task(c, spec.limit) for c in spec.customs]
     records.sort(key=lambda r: r["name"])
     pairwise = _pairwise_records(records)
     passed = sum(1 for r in records if r.get("passed"))

@@ -6,8 +6,11 @@ coset limits (quick refusals).
 """
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
@@ -158,8 +161,10 @@ def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(report, "ProcessPoolExecutor", FakePool)
     result = report.run(parse_spec("family k=2 n=1..2 p=0\n"), jobs=500)
@@ -192,6 +197,70 @@ def test_model_that_raises_becomes_a_failed_record(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["summary"] == {
         "models": 2, "passed": 1, "failed": 1,
     }
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked workers inherit the patched run_family_model",
+)
+def test_dead_worker_becomes_a_failed_record(monkeypatch, capsys):
+    spec = parse_spec("family k=2 n=1..2 p=0\n")
+    normal = report.run(spec)["models"]
+    real = report.run_family_model
+
+    def dies(params, limit):
+        if params.n == 2:
+            os._exit(1)
+        return real(params, limit)
+
+    monkeypatch.setattr(report, "run_family_model", dies)
+    result = report.run(spec, jobs=2)
+    models = result["models"]
+    assert models[1] == {
+        "kind": "family",
+        "name": "M(k=2,n=2,p=0,r=1,m=1)",
+        "params": {"k": 2, "n": 2, "p": 0, "r": 1, "m": 1},
+        "verdicts": {},
+        "error": "BrokenProcessPool",
+        "passed": False,
+    }
+    # The surviving worker's record either arrived before the pool broke,
+    # unchanged, or never arrived and failed the same way.
+    if models[0].get("error") != "BrokenProcessPool":
+        assert report.render_json({"m": models[0]}) == report.render_json({"m": normal[0]})
+    assert "BrokenProcessPool" in capsys.readouterr().err
+    assert main(["--k", "2", "--n", "1..2", "--p", "0", "--format", "json", "--jobs", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] >= 1
+
+
+def test_custom_model_that_raises_becomes_a_failed_record(monkeypatch, capsys):
+    spec = parse_spec(
+        "family k=2 n=1 p=0\n"
+        "custom k=2 name=tweak\n"
+        "  remove [b1, d3]\n"
+        "  add [b1, d3]^2\n"
+        "end\n"
+        "limit 1500\n"
+    )
+    normal = report.run(spec)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(report, "enumerate_cosets", exhausted)
+    result = report.run(spec)
+    family, custom = result["models"]
+    assert report.render_json({"m": family}) == report.render_json({"m": normal["models"][0]})
+    assert custom == {
+        "kind": "custom",
+        "name": "tweak",
+        "params": {"k": 2},
+        "error": "MemoryError",
+        "passed": False,
+    }
+    assert "MemoryError" in capsys.readouterr().err
+    assert result["pairwise"] == normal["pairwise"]
+    assert result["summary"] == {"models": 2, "passed": 1, "failed": 1}
 
 
 def test_k1_model_is_reported_unverified_without_enumeration(monkeypatch):

@@ -153,6 +153,71 @@ def test_table_is_symmetric_and_dead_rows_are_freed():
     assert dead > 0
 
 
+def test_lookahead_skips_only_closed_cosets(monkeypatch):
+    # A lookahead pass starts at the HLT pointer: every live coset below it
+    # must already close every relator, so tracing there would be a no-op.
+    lookahead = _Enumerator._lookahead
+    checked = 0
+
+    def checking_lookahead(self, start):
+        nonlocal checked
+        for a in range(start):
+            if self.table[a] is None:
+                continue
+            for w, _ in self.relators:
+                f = a
+                for x in w:
+                    f = self.table[f][x]
+                    if f is None:
+                        break
+                assert f == a, (a, w)
+                checked += 1
+        return lookahead(self, start)
+
+    monkeypatch.setattr(_Enumerator, "_lookahead", checking_lookahead)
+    for presentation, limit in [
+        *fingerprint_cases(), (A5, 60), (A5, 61), (STUBBORN, 13), (STUBBORN, 14),
+    ]:
+        enumerate_cosets(presentation, limit=limit)
+    assert checked > 0
+
+
+def cascade_cases():
+    # Up to four generators and more relators than generators: small limits
+    # fill, and lookahead passes set off long coincidence cascades.
+    rng = random.Random(2)
+    for _ in range(400):
+        names = ("a", "b", "c", "d")[: rng.randint(1, 4)]
+        relators = tuple(
+            Word((rng.choice(names), rng.choice((-1, 1))) for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(len(names), len(names) + 2))
+        )
+        yield Presentation(names, relators), rng.randint(1, 1500)
+
+
+# sha256 of the (result, definitions, coincidences, max_live,
+# lookahead_passes) rows of cascade_cases(), recorded with a lookahead pass
+# that traced from coset 0 and a coincidence routine that called a merge
+# function per merge.
+CASCADE_SHA256 = "1db29298a683dd25533111c152a34ad48b403dfb1a42aa94bdf1a0aea5562f63"
+
+
+def test_cascade_fingerprint_is_pinned():
+    rows = []
+    looked = coincidences = 0
+    for presentation, limit in cascade_cases():
+        outcome = enumerate_cosets(presentation, limit=limit)
+        s = outcome.stats
+        looked += s.lookahead_passes > 0
+        coincidences += s.coincidences
+        rows.append(
+            f"{outcome.result!r} {s.definitions} {s.coincidences} {s.max_live} {s.lookahead_passes}"
+        )
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert looked >= 60 and coincidences >= 100_000
+    assert digest == CASCADE_SHA256, digest
+
+
 def test_default_limit_is_a_million():
     assert DEFAULT_LIMIT == 1_000_000
 
