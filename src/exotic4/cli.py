@@ -3,7 +3,8 @@
 Either `--spec file` (the run-spec language) or inline `--k/--n/--p/--r/--m`
 flags select the models; every value accepts an int or an inclusive
 `lo..hi` range.  Exit status: 0 all verdicts pass, 1 some verdict failed,
-2 usage/parse/constraint error.
+2 usage/parse/constraint error, including a spec file that cannot be read
+or an `--out` path that cannot be written (checked before any model runs).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _spec_from_args(args) -> RunSpec:
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SpecError(f"cannot read spec file: {exc}", 0) from None
         spec = parse_spec(text)
         if args.limit is not None:
@@ -93,19 +94,27 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecError, ParameterError) as exc:
         print(f"exotic4: {exc}", file=sys.stderr)
         return 2
-    report = run(spec, jobs=args.jobs)
-    rendered = render_json(report) if args.format == "json" else render_table(report)
+    out = sys.stdout
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        summary = report["summary"]
+        # Opened before the sweep, so an unwritable path costs no model run.
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"exotic4: cannot write --out file: {exc}", file=sys.stderr)
+            return 2
+    try:
+        report = run(spec, jobs=args.jobs)
+        out.write(render_json(report) if args.format == "json" else render_table(report))
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    summary = report["summary"]
+    if args.out:
         print(
             f"wrote {args.out}: {summary['models']} models, "
             f"{summary['passed']} passed, {summary['failed']} failed"
         )
-    else:
-        sys.stdout.write(rendered)
-    return 0 if report["summary"]["failed"] == 0 else 1
+    return 0 if summary["failed"] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -97,8 +97,26 @@ def _from_letters(letters: str, names: tuple[str, ...]) -> Word:
     return Word((names[ord(c) >> 1], 1 if ord(c) % 2 == 0 else -1) for c in letters)
 
 
+def _source_windows(r: str, inverse) -> tuple[int, dict[str, int]]:
+    """(h, windows) for a source relator r, h = |r|//2 + 1.
+
+    The dict maps each length-h window of a rotation of r or of r^-1 to the
+    least rotation that starts with it: rotation i < |r| is r rotated left by
+    i, rotation |r| + i is r^-1 rotated left by i.  A relator shorter than 2
+    offers no window.
+    """
+    h = len(r) // 2 + 1
+    if len(r) < 2:
+        return h, {}
+    dd, ii = r + r, inverse(r) * 2
+    starts = [dd[i:i + h] for i in range(len(r))] + [ii[i:i + h] for i in range(len(r))]
+    # Built back to front, so the least rotation of a window wins.
+    return h, {u: i for i, u in reversed(list(enumerate(starts)))}
+
+
 def _shorten_pass(
-    words: list[str], inverse, cap: int, misses: dict[str, set[str]]
+    words: list[str], inverse, cap: int, misses: dict[str, dict[str, None]],
+    windows: dict[str, tuple[int, dict[str, int]]],
 ) -> tuple[int, bool]:
     """Shorten relators against each other, in place.
 
@@ -109,19 +127,37 @@ def _shorten_pass(
     substitution pass cannot see.  Returns (rewrites, finished); finished is
     False when a rewrite was due after `cap` rewrites had been made.
 
+    Sweeps run over the targets in order and rewrite each target once, at
+    the least (position in target, source index, rotation) among all
+    occurrences; they repeat until a sweep rewrites nothing.  A source r
+    offers the windows of `_source_windows` (cached in `windows`, keyed by
+    string); the target s offers, per window length h, each window of s+s
+    starting below |s|, with its first start.  An occurrence at q >= |s|
+    has a twin at q - |s|, so the pair hits exactly when the two key sets
+    intersect, and the least common window gives the pair's best rewrite.
+
     `misses` maps a target relator to the source relators whose scan against
-    it found no occurrence.  Scanning a (target, source) pair reads only
-    those two strings, so a recorded miss stays a miss for as long as both
-    strings are relators, and the pair is skipped.  The caller keeps the
-    dict across passes; each pass first prunes it to the current relators.
+    it found no occurrence, kept as dict keys: a dict of a few dozen keys
+    takes a third of the memory of a set.  Scanning a (target, source) pair
+    reads only those two strings, so a recorded miss stays a miss for as long
+    as both strings are relators, and the pair is skipped.  By the same
+    argument a target whose scan found nothing is marked with the number of
+    rewrites made so far; later sweeps rescan it only against the relators
+    rewritten since, and a rewrite of the target itself drops its mark.  The
+    caller keeps `misses` and `windows` across passes; each pass first prunes
+    them to the current relators.
     """
     live = set(words)
     for s in list(misses):
         if s in live:
-            misses[s] &= live
+            misses[s] = dict.fromkeys(misses[s].keys() & live)
         else:
             del misses[s]
-    rewrites = 0
+    for r in list(windows):
+        if r not in live:
+            del windows[r]
+    rewritten: list[int] = []  # the target index of each rewrite, in order
+    marks: dict[int, int] = {}  # target index -> len(rewritten) at its last miss
     changed = True
     while changed:
         changed = False
@@ -129,44 +165,59 @@ def _shorten_pass(
             s = words[si]
             if not s:
                 continue
-            best = None  # (position in s, source index, variant, offset)
-            doubled_s = s + s
-            known = misses.setdefault(s, set())
-            for ri in range(len(words)):
-                if ri == si:
-                    continue
-                r = words[ri]
-                h = len(r) // 2 + 1
-                if len(r) < 2 or h > len(s) or r in known:
-                    continue
-                hit = False
-                for variant, base in enumerate((r, inverse(r))):
-                    dd = base + base
-                    for off in range(len(r)):
-                        u = dd[off:off + h]
-                        q = doubled_s.find(u)
-                        if q < 0 or q >= len(s):
-                            continue
-                        hit = True
-                        key = (q, ri, variant, off)
-                        if best is None or key < best:
-                            best = key
-                if not hit:
-                    known.add(r)
-            if best is None:
+            mark = marks.get(si)
+            if mark is None:
+                sources = range(len(words))
+            elif mark == len(rewritten):
                 continue
-            if rewrites >= cap:
-                return rewrites, False
-            q, ri, variant, off = best
-            r = words[ri] if variant == 0 else inverse(words[ri])
+            else:
+                sources = set(rewritten[mark:])
+            best = None  # (position in s, source index, source rotation)
+            n = len(s)
+            doubled_s = s + s
+            by_h: dict[int, dict[str, int]] = {}
+            known = misses.setdefault(s, {})
+            for ri in sources:
+                r = words[ri]
+                if r in known or ri == si:
+                    continue
+                source = windows.get(r)
+                if source is None:
+                    source = windows[r] = _source_windows(r, inverse)
+                h, wr = source
+                if h > n:
+                    continue
+                ws = by_h.get(h)
+                if ws is None:
+                    ws = by_h[h] = {
+                        doubled_s[q:q + h]: q for q in range(n - 1, -1, -1)
+                    }
+                common = wr.keys() & ws.keys()
+                if not common:
+                    known[r] = None
+                    continue
+                key = min((ws[u], ri, wr[u]) for u in common)
+                if best is None or key < best:
+                    best = key
+            if best is None:
+                marks[si] = len(rewritten)
+                continue
+            if len(rewritten) >= cap:
+                return len(rewritten), False
+            q, ri, rotation = best
+            variant, off = divmod(rotation, len(words[ri]))
+            r = inverse(words[ri]) if variant else words[ri]
             dd = r + r
             h = len(r) // 2 + 1
             v = dd[off + h:off + len(r)]
-            rotated = doubled_s[q:q + len(s)]
-            words[si] = _reduced(inverse(v) + rotated[h:])
-            rewrites += 1
+            words[si] = _reduced(inverse(v) + doubled_s[q + h:q + n])
+            if s not in words:  # s is gone: keep its cache entries off the peak
+                misses.pop(s, None)
+                windows.pop(s, None)
+            marks.pop(si, None)
+            rewritten.append(si)
             changed = True
-    return rewrites, True
+    return len(rewritten), True
 
 
 def _cleanup(words: list[str], inverse) -> list[str]:
@@ -215,9 +266,13 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
     number of eliminations plus rewrites; when it stops one, the presentation
     reached so far is returned with completed=False.
 
-    One `misses` dict serves every shortening pass of the call: it records,
-    per target relator, the sources already shown not to occur in it, so a
-    pass rescans only pairs in which a string is new since that scan.
+    Two caches serve every shortening pass of the call, both keyed by
+    relator string: `misses` records, per target relator, the sources
+    already shown not to occur in it, so a pass rescans only pairs in which
+    a string is new since that scan; `windows` holds each source's window
+    dict (see _source_windows), so a relator that survives a pass is not
+    re-sliced in the next.  Within a pass, rescan marks limit a target that
+    found nothing to the relators rewritten since (see _shorten_pass).
     """
     names = presentation.generators
     swap = {c: c ^ 1 for c in range(2 * len(names))}
@@ -227,10 +282,13 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
 
     words = _cleanup(relator_letters(presentation), inverse)
     eliminated: list[tuple[int, str, str]] = []
-    misses: dict[str, set[str]] = {}
+    misses: dict[str, dict[str, None]] = {}
+    windows: dict[str, tuple[int, dict[str, int]]] = {}
     steps = 0
     while True:
-        rewrites, completed = _shorten_pass(words, inverse, budget - steps, misses)
+        rewrites, completed = _shorten_pass(
+            words, inverse, budget - steps, misses, windows
+        )
         steps += rewrites
         words = _cleanup(words, inverse)
         if not completed:

@@ -14,7 +14,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from exotic4 import manifolds, report
+from exotic4 import cli, manifolds, report
 from exotic4.cli import main
 from exotic4.report import SpecError, parse_spec
 
@@ -334,6 +334,31 @@ def test_out_file_receives_the_report(tmp_path):
     assert "wrote" in proc.stdout
     report = json.loads(out.read_text())
     assert report["summary"]["passed"] == 1
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_fails_before_any_model_runs(tmp_path, monkeypatch, capsys, where):
+    out = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("a model ran")
+
+    monkeypatch.setattr(cli, "run", sweep)
+    assert main(["--k", "2", "--n", "1", "--p", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("exotic4: cannot write --out file: ")
+    assert captured.out == ""
+
+
+def test_spec_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    spec = tmp_path / "run.spec"
+    spec.write_bytes(b"family k=2 n=1 p=0  # caf\xe9\n")
+    proc = run_cli("--spec", str(spec))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("exotic4: ")
+    assert "cannot read spec file: 'utf-8' codec can't decode" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_spec_file_runs_customs_with_small_limits(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from exotic4.presentations import (
     Presentation,
     _from_letters,
     _reduced,
+    _shorten_pass,
     relator_letters,
     tietze_simplify,
 )
@@ -17,7 +19,14 @@ from exotic4.coset import enumerate_cosets
 from exotic4.intlinalg import abelian_invariants
 from exotic4.manifolds import FamilyParams, build_Mkn
 
-from _oracles import cyclic_reduce, flat_letters, random_syllables
+from _oracles import (
+    best_shortening,
+    cyclic_reduce,
+    flat_letters,
+    letter_inverse,
+    letter_reduce,
+    random_syllables,
+)
 
 
 def pres(gens, *relator_texts):
@@ -223,3 +232,56 @@ def test_tietze_fingerprint_is_pinned():
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert cut >= 50 and rewritten >= 50, (cut, rewritten)
     assert digest == TIETZE_FINGERPRINT_SHA256, digest
+
+
+def test_one_shortening_matches_the_brute_force_oracle():
+    # Short words over two generators: periodic words, windows as long as the
+    # target (h = |s|), sources of length 2 and 3 and equal relators are all
+    # common.  With cap=1 the pass makes exactly the first target's best
+    # rewrite, or none.
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(3000):
+        words = []
+        for _ in range(rng.randint(2, 3)):
+            w = rng.choice(words) if words and rng.random() < 0.1 else ""
+            while not w:
+                w = letter_reduce("".join(
+                    chr(rng.randrange(4)) for _ in range(rng.randint(1, 7))
+                ))
+            words.append(w)
+        before = list(words)
+        first = next(
+            ((si, hit) for si in range(len(words))
+             if (hit := best_shortening(words, si)) is not None),
+            None,
+        )
+        rewrites, finished = _shorten_pass(words, letter_inverse, 1, {}, {})
+        if first is None:
+            assert (rewrites, finished, words) == (0, True, before)
+            continue
+        si, (_, ri, _, _, rewritten) = first
+        assert rewrites == 1, before
+        assert words == before[:si] + [rewritten] + before[si + 1:], before
+        r, s = before[ri], before[si]
+        seen["hit"] += 1
+        seen["h == |s|"] += len(r) // 2 + 1 == len(s)
+        seen["|r| <= 3"] += len(r) <= 3
+        seen["equal relators"] += len(set(before)) < len(before)
+        seen["cut"] += not finished
+    assert min(seen.values()) >= 50 and len(seen) == 5, seen
+
+
+def test_completed_simplifications_leave_no_shortening():
+    # The rescan marks and the misses memo skip pairs; at the end of a
+    # completed run no pair of the final relators may still shorten.
+    completed = 0
+    for presentation, budget in tietze_cases():
+        result = tietze_simplify(presentation, budget=budget)
+        if not result.completed:
+            continue
+        completed += 1
+        words = relator_letters(result.presentation)
+        for si in range(len(words)):
+            assert best_shortening(words, si) is None, (presentation, budget, si)
+    assert completed >= 500, completed
