@@ -61,25 +61,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args) -> RunSpec:
     if args.spec is not None:
         if args.k is not None or args.n is not None:
-            raise SpecError("--spec and inline --k/--n are mutually exclusive", 0)
+            raise SpecError("--spec and inline --k/--n are mutually exclusive")
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise SpecError(f"cannot read spec file: {exc}", 0) from None
+            raise SpecError(f"cannot read spec file: {exc}") from None
         spec = parse_spec(text)
         if args.limit is not None:
             spec = RunSpec(spec.families, spec.customs, args.limit)
         return spec
     if args.k is None or args.n is None:
-        raise SpecError("no run specified: provide --spec or both --k and --n", 0)
+        raise SpecError("no run specified: provide --spec or both --k and --n")
     values = {}
     for flag in ("k", "n", "p", "r", "m"):
         text = getattr(args, flag)
         try:
             values[flag] = parse_range(text)
         except ValueError:
-            raise SpecError(f"bad --{flag} value {text!r} (want int or lo..hi)", 0) from None
+            raise SpecError(f"bad --{flag} value {text!r} (want int or lo..hi)") from None
     limit = DEFAULT_LIMIT if args.limit is None else args.limit
     return RunSpec(unique_families(expand_family(values)), (), limit)
 

@@ -14,13 +14,28 @@ table[a][x] = b exactly when table[b][x^1] = a, so every pointer to a dead
 coset g is matched by an entry of g's row; draining the row clears those
 pointers, and once `coincidence` returns no row points at a dead coset.
 
+Each coset id c also has a column mask, mask[c]: bit x is set whenever
+table[c][x] is defined, and bits are never cleared, so a mask is a superset
+of the defined columns.  Every write of a table entry sets its bit: `define`,
+HLT definitions and deductions in `scan`, lookahead deductions, and the
+merges of `coincidence`.  A coincidence can clear an entry of a live row for
+a moment and refill it later; the stale bit that leaves behind is harmless,
+because every reader of a mask still reads the entry itself and skips None.
+A coincidence drains a dead row over its mask's columns only: that walk
+meets the same entries in the same order as one over the whole row, because
+a row being drained only loses entries (see `coincidence`).  Masks live in an array("I") up to 32 columns, an array("Q") up to 64, and a
+list of Python ints beyond; all three go through the same code.
+
 A lookahead pass skips the trace of relator w (length >= 2) at coset a when
 both a.w[0] and a.w[-1]^-1 are undefined: the forward trace then stops at
 letter 0 and the backward trace at letter len(w)-1, leaving a gap of two or
-more letters, so the trace could neither close, deduce nor coincide.  The
-test is made at trace time, because a coincidence from an earlier relator
-can fill the row of a.  Skipping changes no table entry, so results and
-counters are those of tracing every relator.
+more letters, so the trace could neither close, deduce nor coincide.  It
+finds the relators left to trace from mask[a], through a memo from a mask
+to the relators with length 1 or with the bit of w[0] or of w[-1]^-1 set;
+a stale bit only lets through a trace that then stops at once.  A
+coincidence or deduction can fill row a, so the mask is read again after
+either.  Skipping changes no table entry, so results and counters are those
+of tracing every relator.
 
 A lookahead pass also skips every coset below the HLT pointer `ptr`.  Each
 live one has been scanned closed by HLT: every relator traces from it back
@@ -34,6 +49,7 @@ LimitExceeded and decide what to do.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -78,6 +94,18 @@ class _Overflow(Exception):
     pass
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with `build(key)`."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class _Enumerator:
     def __init__(self, presentation: Presentation, limit: int):
         self.ncols = 2 * len(presentation.generators)
@@ -90,6 +118,24 @@ class _Enumerator:
         ]
         self.limit = limit
         self.table: list[list[int | None]] = [[None] * self.ncols]
+        # mask[c] has bit x set whenever table[c][x] is defined (see above),
+        # in the narrowest container that holds ncols bits.
+        if self.ncols <= 32:
+            self.mask = array("I", (0,))
+        elif self.ncols <= 64:
+            self.mask = array("Q", (0,))
+        else:
+            self.mask = [0]
+        # Lookahead traces (w, inv, w[0], w[-1]^-1, len(w) - 1) worth
+        # starting under a mask, in relator order, and a mask's columns.
+        # The builders close over locals only: a closure over self would be
+        # a reference cycle that keeps the table alive until a GC run.
+        traces = [(w, inv, w[0], inv[-1], len(w) - 1) for w, inv in self.relators]
+        self.eligible = _Memo(
+            lambda m: tuple(t for t in traces if not t[4] or m >> t[2] & 1 or m >> t[3] & 1)
+        )
+        ncols = self.ncols
+        self.columns = _Memo(lambda m: tuple(x for x in range(ncols) if m >> x & 1))
         self.p = [0]
         self.live = 1
         self.definitions = 0
@@ -108,12 +154,23 @@ class _Enumerator:
         self.max_live = max(self.max_live, self.live)
         self.table[a][x] = b
         self.table[b][x ^ 1] = a
+        self.mask[a] |= 1 << x
+        self.mask.append(1 << (x ^ 1))
 
     def coincidence(self, a: int, b: int):
         """Merge cosets a and b and every coincidence that follows.  A merge
         queues the larger root; draining a queued coset's row moves each of
-        its edges onto the survivors, queueing further merges."""
-        table, p = self.table, self.p
+        its edges onto the survivors, queueing further merges.
+
+        The drain visits only the columns of the row's mask, in ascending
+        order, and still skips None entries.  That yields the (x, d) pairs
+        a walk over the whole row would: while a row is drained it can only
+        lose entries (a self-loop clears the row's own inverse entry), never
+        gain any, because every entry written here belongs to mu or nu, and
+        both are live representatives.  A merge sets the bits of the entries
+        it writes; nu's bit y is already set when nu is d, whose entry y
+        pointed at the dead coset."""
+        table, p, mask, columns = self.table, self.p, self.mask, self.columns
 
         def rep(k: int) -> int:
             l = k
@@ -139,7 +196,8 @@ class _Enumerator:
             killed += 1
             row = table[g]
             mu = p[g]
-            for x, d in enumerate(row):
+            for x in columns[mask[g]]:
+                d = row[x]
                 if d is None:
                     continue
                 y = x ^ 1
@@ -157,6 +215,9 @@ class _Enumerator:
                 else:
                     table[mu][x] = nu
                     table[nu][y] = mu
+                    mask[mu] |= 1 << x
+                    if nu != d:
+                        mask[nu] |= 1 << y
                     continue
                 if p[e] != e:
                     e = rep(e)
@@ -171,7 +232,7 @@ class _Enumerator:
 
     def scan(self, a: int, w: tuple[int, ...], inv: tuple[int, ...]):
         """Trace relator w at coset a, defining cosets to close the scan."""
-        table, p = self.table, self.p
+        table, p, mask = self.table, self.p, self.mask
         f, i = a, 0
         b, j = a, len(w) - 1
         while True:
@@ -190,6 +251,8 @@ class _Enumerator:
             if i == j:
                 table[f][w[i]] = b
                 table[b][inv[i]] = f
+                mask[f] |= 1 << w[i]
+                mask[b] |= 1 << inv[i]
                 return
             # Define f.w[i], as `define` does, and step onto it.
             live = self.live
@@ -199,8 +262,10 @@ class _Enumerator:
             row = [None] * self.ncols
             row[inv[i]] = f
             table.append(row)
+            mask.append(1 << inv[i])
             p.append(e)
             table[f][w[i]] = e
+            mask[f] |= 1 << w[i]
             self.live = live = live + 1
             self.definitions += 1
             if live > self.max_live:
@@ -216,35 +281,62 @@ class _Enumerator:
         closed, and a closed trace stays closed through coincidences, so
         tracing there would change nothing.
 
-        The trace is inlined and skips relator w at coset a when w has two or
-        more letters and a.w[0] and a.w[-1]^-1 are both undefined: the
-        forward trace would stop at i = 0 and the backward one at
-        j = len(w) - 1 > i, so it could not close, deduce or coincide.  The
-        rule is tested per trace, since an earlier relator's coincidence can
-        fill row a.  Traces, deductions and coincidences happen in the same
-        order as when every relator is traced at every coset."""
+        The trace is inlined.  At coset a it visits only the relators
+        `eligible[mask[a]]`: length 1, or a.w[0] or a.w[-1]^-1 possibly
+        defined.  Any other relator w would stop forwards at i = 0 and
+        backwards at j = len(w) - 1 > i, so it could not close, deduce or
+        coincide.  A stale mask bit only lets through a trace whose two ends
+        are undefined, which the trace below drops after two reads.  A trace
+        reads a.w[-1]^-1 only when the forward walk stops short.  A
+        deduction or coincidence can fill row a, so after one that leaves a
+        alive the mask is read again and the relators after the current one
+        come from the new mask's list.  Traces, deductions and coincidences
+        happen in the same order as when every relator is traced at every
+        coset."""
         self.lookahead_passes += 1
-        table, p = self.table, self.p
-        relators = [(w, inv, w[0], inv[-1], len(w) - 1) for w, inv in self.relators]
+        table, p, mask, eligible = self.table, self.p, self.mask, self.eligible
         for a in range(start, len(table)):
             row = table[a]
             if row is None:
                 continue
-            for w, inv, first, last, end in relators:
-                if end and row[first] is None and row[last] is None:
-                    continue
-                f, i = a, 0
-                b, j = a, end
-                while i <= j and (e := table[f][w[i]]) is not None:
-                    f, i = e, i + 1
-                while j >= i and (e := table[b][inv[j]]) is not None:
-                    b, j = e, j - 1
-                if i == j:
-                    table[f][w[i]] = b
-                    table[b][inv[i]] = f
-                elif j < i and f != b:
-                    self.coincidence(f, b)
-                    if p[a] != a:
+            m = mask[a]
+            rels = eligible[m]
+            while rels is not None:
+                todo, rels = rels, None
+                for rel in todo:
+                    w, inv, first, last, end = rel
+                    f = row[first]
+                    if f is None:
+                        f, i = a, 0
+                    else:
+                        i = 1
+                        while i <= end and (e := table[f][w[i]]) is not None:
+                            f, i = e, i + 1
+                    b, j = a, end
+                    if i <= end:
+                        e = row[last]
+                        if e is None:
+                            if i != end:
+                                continue
+                        else:
+                            b, j = e, end - 1
+                            while j >= i and (e := table[b][inv[j]]) is not None:
+                                b, j = e, j - 1
+                    if i == j:
+                        table[f][w[i]] = b
+                        table[b][inv[i]] = f
+                        mask[f] |= 1 << w[i]
+                        mask[b] |= 1 << inv[i]
+                    elif j > i or f == b:
+                        continue
+                    else:
+                        self.coincidence(f, b)
+                        if p[a] != a:
+                            break
+                    if mask[a] != m:
+                        m = mask[a]
+                        rels = eligible[m]
+                        rels = rels[rels.index(rel) + 1:]
                         break
         return self.live < self.limit
 

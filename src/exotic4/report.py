@@ -132,10 +132,12 @@ ASSUMPTIONS = (
 
 
 class SpecError(ValueError):
-    """A parse or constraint diagnostic for the run-spec language."""
+    """A parse or constraint diagnostic for the run-spec language.  `line`
+    is the spec line at fault, or None when no line is (a CLI flag, or the
+    spec as a whole)."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -157,9 +159,9 @@ class RunSpec:
 
     def __post_init__(self):
         if not self.families and not self.customs:
-            raise SpecError("no run specified", 0)
+            raise SpecError("no run specified")
         if self.limit < 1:
-            raise SpecError("limit must be positive", 0)
+            raise SpecError("limit must be positive")
 
     @property
     def mode(self) -> str:
@@ -267,7 +269,7 @@ def parse_spec(text: str) -> RunSpec:
             if limit < 1:
                 raise SpecError("limit must be positive", lineno)
         elif head == "custom":
-            block = {"k": None, "name": None, "removed": [], "added": []}
+            block = {"line": lineno, "k": None, "name": None, "removed": [], "added": []}
             for item in arg.split():
                 key, eq, value = item.partition("=")
                 if key == "k" and eq:
@@ -288,7 +290,7 @@ def parse_spec(text: str) -> RunSpec:
         else:
             raise SpecError(f"unknown directive {head!r}", lineno)
     if block is not None:
-        raise SpecError("unterminated custom block (missing end)", 0)
+        raise SpecError("unterminated custom block (missing end)", block["line"])
     return RunSpec(unique_families(families), tuple(customs), limit)
 
 

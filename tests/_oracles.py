@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity by a different method than the library
 (letter stacks instead of run-length syllables, cofactor expansion instead
 of Bareiss, determinantal divisors instead of pivoting, rational congruence
-diagonalization instead of integer reduction) so that agreement is evidence,
-not an identity check.
+diagonalization instead of integer reduction, every relator traced at every
+coset instead of only those a column mask lets start) so that agreement is
+evidence, not an identity check.
 """
 
 from __future__ import annotations
@@ -97,6 +98,80 @@ def best_shortening(words: list[str], si: int):
                         rewritten = letter_reduce(letter_inverse(rot[h:]) + rest)
                         return q, ri, variant, off, rewritten
     return None
+
+
+# ---------------------------------------------------------------- cosets
+
+
+def reference_lookahead(table, p, relators, start: int) -> int:
+    """One lookahead pass of HLT coset enumeration, traced the plain way.
+
+    `table` is a list of rows (None for a freed coset) indexed by column,
+    where column x^1 is the inverse of column x; `p[c]` is c's parent, c
+    itself when c is live; `relators` are tuples of columns.  Every relator
+    is traced at every live coset from `start` on, forwards then backwards,
+    without defining: a trace with one letter missing deduces it, and a
+    trace that closes between two cosets merges them, smaller id surviving,
+    with Holt's COINCIDENCE routine (a queue of merged cosets whose rows are
+    moved onto the survivors).  Mutates table and p and returns the number
+    of cosets merged away.
+    """
+
+    def rep(c):
+        root = c
+        while p[root] != root:
+            root = p[root]
+        while p[c] != root:
+            p[c], c = root, p[c]
+        return root
+
+    def coincidence(a, b):
+        queue = []
+
+        def merge(k, l):
+            k, l = rep(k), rep(l)
+            if k != l:
+                k, l = min(k, l), max(k, l)
+                p[l] = k
+                queue.append(l)
+
+        merge(a, b)
+        for g in queue:  # merge() appends while this runs
+            for x in range(len(table[g])):
+                d = table[g][x]
+                if d is None:
+                    continue
+                table[d][x ^ 1] = None
+                mu, nu = rep(g), rep(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+            table[g] = None
+        return len(queue)
+
+    merged = 0
+    for a in range(start, len(table)):
+        if table[a] is None:
+            continue
+        for w in relators:
+            f, i = a, 0
+            b, j = a, len(w) - 1
+            while i <= j and table[f][w[i]] is not None:
+                f, i = table[f][w[i]], i + 1
+            while j >= i and table[b][w[j] ^ 1] is not None:
+                b, j = table[b][w[j] ^ 1], j - 1
+            if i == j:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+            elif i > j and f != b:
+                merged += coincidence(f, b)
+                if p[a] != a:
+                    break
+    return merged
 
 
 # ---------------------------------------------------------------- matrices

@@ -350,6 +350,26 @@ def test_unwritable_out_fails_before_any_model_runs(tmp_path, monkeypatch, capsy
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--k", "3..2", "--n", "1"], "bad --k value '3..2' (want int or lo..hi)"),
+        (["--k", "2", "--n", "1", "--limit", "0"], "limit must be positive"),
+        (["--spec", "{spec}"], "line 2: limit must be positive"),
+        (["--spec", "{open}"], "line 3: unterminated custom block (missing end)"),
+    ],
+    ids=["flag", "limit-flag", "spec-line", "open-block"],
+)
+def test_usage_errors_cite_a_line_only_for_spec_lines(tmp_path, capsys, args, message):
+    spec = tmp_path / "run.spec"
+    spec.write_text("family k=2 n=1 p=0\nlimit 0\n")
+    unterminated = tmp_path / "open.spec"
+    unterminated.write_text("family k=2 n=1 p=0\n\ncustom k=2\n  remove [b1, d3]\n")
+    argv = [a.format(spec=spec, open=unterminated) for a in args]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"exotic4: {message}\n"
+
+
 def test_spec_file_that_is_not_utf8_is_a_usage_error(tmp_path):
     spec = tmp_path / "run.spec"
     spec.write_bytes(b"family k=2 n=1 p=0  # caf\xe9\n")

@@ -2,9 +2,11 @@
 
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
+from _oracles import reference_lookahead
 from exotic4.words import Word, commutator, gen, parse_relation, parse_word
 from exotic4.presentations import Presentation, tietze_simplify
 from exotic4.coset import (
@@ -216,6 +218,119 @@ def test_cascade_fingerprint_is_pinned():
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert looked >= 60 and coincidences >= 100_000
     assert digest == CASCADE_SHA256, digest
+
+
+def chain(n):
+    # x_0 = x_1 = ... = x_{n-1} of order 5, plus a relator that the chain
+    # makes trivial: Z5 on 2n table columns.
+    names = [f"x{i}" for i in range(n)]
+    texts = [f"x{i}*x{i + 1}^-1" for i in range(n - 1)]
+    return pres(names, *texts, "x0^5", f"x5*x20*x{n - 1}^-2")
+
+
+WIDE = chain(34)  # 68 columns: masks are Python ints
+MID = chain(24)  # 48 columns: masks are 64-bit
+
+
+@pytest.mark.parametrize(
+    "presentation,limit,counts",
+    [
+        (WIDE, 10, (9, 5, 10, 1)),
+        (WIDE, 20, (19, 15, 20, 1)),
+        (WIDE, 30, (29, 25, 30, 1)),
+        (WIDE, 38, (37, 33, 38, 1)),
+        (WIDE, 39, (41, 37, 39, 0)),
+        (MID, 20, (19, 15, 20, 1)),
+        (MID, 30, (31, 27, 29, 0)),
+    ],
+)
+def test_tables_wider_than_32_and_64_columns(presentation, limit, counts):
+    # (definitions, coincidences, max_live, lookahead_passes), recorded
+    # before the enumerator kept column masks.
+    outcome = enumerate_cosets(presentation, limit=limit)
+    s = outcome.stats
+    assert outcome.result == Completed(5)
+    assert (s.definitions, s.coincidences, s.max_live, s.lookahead_passes) == counts
+
+
+def test_mask_container_fits_the_column_count():
+    assert _Enumerator(S3, 10).mask.typecode == "I"
+    assert _Enumerator(MID, 10).mask.typecode == "Q"
+    assert isinstance(_Enumerator(WIDE, 10).mask, list)
+
+
+def lookahead_cases():
+    yield from fingerprint_cases()
+    yield from islice(cascade_cases(), 200)
+    yield from [(A5, 60), (A5, 61), (STUBBORN, 13), (STUBBORN, 14)]
+    yield from [(WIDE, limit) for limit in (10, 20, 30, 38)]
+    yield MID, 20
+
+
+def root(p, c):
+    while p[c] != c:
+        c = p[c]
+    return c
+
+
+def test_lookahead_matches_the_reference_pass(monkeypatch):
+    # Each pass is replayed on a copy by the reference pass, which traces
+    # every relator at every live coset from `start` and merges with its own
+    # routine.  Tables and counters must agree; p is compared by root,
+    # because where path compression leaves a dead coset's parent is
+    # bookkeeping that no result depends on.
+    lookahead = _Enumerator._lookahead
+    passes = merges = 0
+
+    def checked_lookahead(self, start):
+        nonlocal passes, merges
+        table = [None if row is None else list(row) for row in self.table]
+        p = list(self.p)
+        live, coincidences = self.live, self.coincidences
+        merged = reference_lookahead(table, p, [w for w, _ in self.relators], start)
+        room = lookahead(self, start)
+        assert self.table == table
+        assert [root(self.p, c) for c in range(len(p))] == [root(p, c) for c in range(len(p))]
+        assert (self.live, self.coincidences) == (live - merged, coincidences + merged)
+        assert room == (self.live < self.limit)
+        passes += 1
+        merges += merged
+        return room
+
+    monkeypatch.setattr(_Enumerator, "_lookahead", checked_lookahead)
+    for presentation, limit in lookahead_cases():
+        enumerate_cosets(presentation, limit=limit)
+    assert passes >= 300 and merges >= 5_000
+
+
+def unmasked_entries(enum):
+    return [
+        (a, x)
+        for a, row in enumerate(enum.table)
+        if row is not None
+        for x, b in enumerate(row)
+        if b is not None and not enum.mask[a] >> x & 1
+    ]
+
+
+def test_masks_cover_every_defined_entry(monkeypatch):
+    # mask[a] may have stale bits, but never lacks the bit of a defined
+    # entry of a live row: at each pass entry and after the run.
+    lookahead = _Enumerator._lookahead
+    passes = 0
+
+    def checked_lookahead(self, start):
+        nonlocal passes
+        assert unmasked_entries(self) == []
+        passes += 1
+        return lookahead(self, start)
+
+    monkeypatch.setattr(_Enumerator, "_lookahead", checked_lookahead)
+    for presentation, limit in lookahead_cases():
+        enum = _Enumerator(presentation, limit)
+        enum.run()
+        assert unmasked_entries(enum) == []
+    assert passes >= 300
 
 
 def test_default_limit_is_a_million():
