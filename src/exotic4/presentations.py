@@ -115,7 +115,7 @@ def _source_windows(r: str, inverse) -> tuple[int, dict[str, int]]:
 
 
 def _shorten_pass(
-    words: list[str], inverse, cap: int, misses: dict[str, dict[str, None]],
+    words: list[str], inverse, cap: int, clean: set[str],
     windows: dict[str, tuple[int, dict[str, int]]],
 ) -> tuple[int, bool]:
     """Shorten relators against each other, in place.
@@ -136,28 +136,23 @@ def _shorten_pass(
     has a twin at q - |s|, so the pair hits exactly when the two key sets
     intersect, and the least common window gives the pair's best rewrite.
 
-    `misses` maps a target relator to the source relators whose scan against
-    it found no occurrence, kept as dict keys: a dict of a few dozen keys
-    takes a third of the memory of a set.  Scanning a (target, source) pair
-    reads only those two strings, so a recorded miss stays a miss for as long
-    as both strings are relators, and the pair is skipped.  By the same
-    argument a target whose scan found nothing is marked with the number of
-    rewrites made so far; later sweeps rescan it only against the relators
-    rewritten since, and a rewrite of the target itself drops its mark.  The
-    caller keeps `misses` and `windows` across passes; each pass first prunes
-    them to the current relators.
+    Scanning a (target, source) pair reads only those two strings.  So a
+    target whose scan found nothing is marked with the length of the log of
+    rewritten indices, and later sweeps rescan it only against the indices
+    logged since; a rewrite of the target drops its mark.  No two strings in
+    `clean` shorten each other, so the log starts with the other indices and
+    a clean target starts marked at 0.  Those seeded entries count neither
+    as rewrites nor towards `cap`.  The caller keeps `windows` across
+    passes; each pass first prunes it to the current relators.
     """
     live = set(words)
-    for s in list(misses):
-        if s in live:
-            misses[s] = dict.fromkeys(misses[s].keys() & live)
-        else:
-            del misses[s]
     for r in list(windows):
         if r not in live:
             del windows[r]
-    rewritten: list[int] = []  # the target index of each rewrite, in order
-    marks: dict[int, int] = {}  # target index -> len(rewritten) at its last miss
+    rewritten = [i for i, s in enumerate(words) if s not in clean]
+    seeded = len(rewritten)
+    # Target index -> len(rewritten) at its last miss.
+    marks = {i: 0 for i, s in enumerate(words) if s in clean}
     changed = True
     while changed:
         changed = False
@@ -176,11 +171,10 @@ def _shorten_pass(
             n = len(s)
             doubled_s = s + s
             by_h: dict[int, dict[str, int]] = {}
-            known = misses.setdefault(s, {})
             for ri in sources:
-                r = words[ri]
-                if r in known or ri == si:
+                if ri == si:
                     continue
+                r = words[ri]
                 source = windows.get(r)
                 if source is None:
                     source = windows[r] = _source_windows(r, inverse)
@@ -194,7 +188,6 @@ def _shorten_pass(
                     }
                 common = wr.keys() & ws.keys()
                 if not common:
-                    known[r] = None
                     continue
                 key = min((ws[u], ri, wr[u]) for u in common)
                 if best is None or key < best:
@@ -202,8 +195,8 @@ def _shorten_pass(
             if best is None:
                 marks[si] = len(rewritten)
                 continue
-            if len(rewritten) >= cap:
-                return len(rewritten), False
+            if len(rewritten) - seeded >= cap:
+                return len(rewritten) - seeded, False
             q, ri, rotation = best
             variant, off = divmod(rotation, len(words[ri]))
             r = inverse(words[ri]) if variant else words[ri]
@@ -211,13 +204,12 @@ def _shorten_pass(
             h = len(r) // 2 + 1
             v = dd[off + h:off + len(r)]
             words[si] = _reduced(inverse(v) + doubled_s[q + h:q + n])
-            if s not in words:  # s is gone: keep its cache entries off the peak
-                misses.pop(s, None)
+            if s not in words:  # s is gone: keep its windows off the peak
                 windows.pop(s, None)
             marks.pop(si, None)
             rewritten.append(si)
             changed = True
-    return len(rewritten), True
+    return len(rewritten) - seeded, True
 
 
 def _cleanup(words: list[str], inverse) -> list[str]:
@@ -266,13 +258,13 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
     number of eliminations plus rewrites; when it stops one, the presentation
     reached so far is returned with completed=False.
 
-    Two caches serve every shortening pass of the call, both keyed by
-    relator string: `misses` records, per target relator, the sources
-    already shown not to occur in it, so a pass rescans only pairs in which
-    a string is new since that scan; `windows` holds each source's window
-    dict (see _source_windows), so a relator that survives a pass is not
-    re-sliced in the next.  Within a pass, rescan marks limit a target that
-    found nothing to the relators rewritten since (see _shorten_pass).
+    A shortening pass that finishes ends with a sweep that rewrote nothing,
+    so no two of its relators shorten each other, and deduplication only
+    drops relators.  Their strings are handed to the next pass as `clean`:
+    a relator that elimination leaves unchanged is scanned again only
+    against the new ones (see _shorten_pass).  `windows` holds each source's
+    window dict (see _source_windows), keyed by string, so a relator that
+    survives a pass is not re-sliced in the next.
     """
     names = presentation.generators
     swap = {c: c ^ 1 for c in range(2 * len(names))}
@@ -282,17 +274,18 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
 
     words = _cleanup(relator_letters(presentation), inverse)
     eliminated: list[tuple[int, str, str]] = []
-    misses: dict[str, dict[str, None]] = {}
+    clean: set[str] = set()
     windows: dict[str, tuple[int, dict[str, int]]] = {}
     steps = 0
     while True:
         rewrites, completed = _shorten_pass(
-            words, inverse, budget - steps, misses, windows
+            words, inverse, budget - steps, clean, windows
         )
         steps += rewrites
         words = _cleanup(words, inverse)
         if not completed:
             break
+        clean = set(words)
         cand = _find_candidate(words)
         if cand is None:
             break

@@ -205,11 +205,13 @@ def parse_spec(text: str) -> RunSpec:
     Lines: `family k=<int|range> n=<int|range> [p=..] [r=..] [m=..]`,
     `limit <int>`, and `custom k=<int> [name=<word>]` blocks containing
     `remove <relation>` / `add <relation>` lines, closed by `end`.  `#`
-    starts a comment.  Ranges are inclusive `lo..hi`.
+    starts a comment.  Ranges are inclusive `lo..hi`.  An item repeated on
+    one line, or a second `limit` line, is an error rather than an override.
     """
     families: list[FamilyParams] = []
     customs: list[CustomSchedule] = []
     limit = DEFAULT_LIMIT
+    limit_line: int | None = None
     block: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -250,6 +252,8 @@ def parse_spec(text: str) -> RunSpec:
                 key, eq, value = item.partition("=")
                 if not eq or key not in ("k", "n", "p", "r", "m"):
                     raise SpecError(f"bad family item {item!r}", lineno)
+                if key in values:
+                    raise SpecError(f"family item {key}= given twice", lineno)
                 try:
                     values[key] = parse_range(value)
                 except ValueError as exc:
@@ -262,6 +266,9 @@ def parse_spec(text: str) -> RunSpec:
             except ParameterError as exc:
                 raise SpecError(str(exc), lineno) from None
         elif head == "limit":
+            if limit_line is not None:
+                raise SpecError(f"limit already given on line {limit_line}", lineno)
+            limit_line = lineno
             try:
                 limit = int(arg)
             except ValueError:
@@ -272,15 +279,17 @@ def parse_spec(text: str) -> RunSpec:
             block = {"line": lineno, "k": None, "name": None, "removed": [], "added": []}
             for item in arg.split():
                 key, eq, value = item.partition("=")
-                if key == "k" and eq:
-                    try:
-                        block["k"] = int(value)
-                    except ValueError:
-                        raise SpecError(f"bad k {value!r}", lineno) from None
-                elif key == "name" and eq:
-                    block["name"] = value
-                else:
+                if not eq or key not in ("k", "name"):
                     raise SpecError(f"bad custom item {item!r}", lineno)
+                if block[key] is not None:
+                    raise SpecError(f"custom item {key}= given twice", lineno)
+                if key == "name":
+                    block["name"] = value
+                    continue
+                try:
+                    block["k"] = int(value)
+                except ValueError:
+                    raise SpecError(f"bad k {value!r}", lineno) from None
             if block["k"] is None:
                 raise SpecError("custom block needs k=", lineno)
             if block["k"] < 1:

@@ -71,6 +71,11 @@ def test_custom_block_round_trip():
         ("custom k=2\nend\n", "no remove/add"),
         ("custom k=2\nremove [b1,d2]\n", "missing end"),
         ("custom name=x\nremove [b1,d2]\nend\n", "needs k="),
+        ("family k=2 n=1 k=3\n", "line 1: family item k= given twice"),
+        ("custom k=2 k=3\nremove [b1,d2]\nend\n", "line 1: custom item k= given twice"),
+        ("custom k=2 name=a name=b\nremove [b1,d2]\nend\n",
+         "line 1: custom item name= given twice"),
+        ("limit 100\nfamily k=2 n=1\nlimit 200\n", "line 3: limit already given on line 1"),
     ],
 )
 def test_spec_diagnostics_name_the_problem(text, fragment):

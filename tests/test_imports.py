@@ -1,5 +1,5 @@
 """Every name a module of the package or of its tests imports is used by that
-module."""
+module, and every parameter of a package function is read by its body."""
 
 import ast
 from pathlib import Path
@@ -51,3 +51,52 @@ def test_scan_finds_an_unused_import():
         "x: int = load('1')\n"
     )
     assert unused_imports(source) == ["os (line 2)"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a function or lambda that its body never reads (nested
+    functions included).  `self`, `cls` and the parameters of dunder methods
+    do not count."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+            if name.startswith("__") and name.endswith("__"):
+                continue
+        elif isinstance(node, ast.Lambda):
+            name, body = "lambda", [node.body]
+        else:
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unused += [
+            f"{name}: {p.arg} (line {node.lineno})" for p in params
+            if p and p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return unused
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if not m.startswith("tests/")])
+def test_no_unused_parameters(module):
+    assert unused_parameters(MODULES[module].read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unused_parameter():
+    source = (
+        "class A:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def f(self, x, *args, y=1, **kw):\n"
+        "        def g():\n"
+        "            return x + len(kw)\n"
+        "        y = 2\n"
+        "        return g\n"
+        "key = lambda w, n: w\n"
+    )
+    assert unused_parameters(source) == [
+        "f: args (line 4)", "f: y (line 4)", "lambda: n (line 9)",
+    ]

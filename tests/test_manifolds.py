@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from exotic4 import manifolds
-from exotic4.coset import LimitExceeded
+from exotic4.coset import Completed, LimitExceeded
 from exotic4.words import gen
 from exotic4.intlinalg import AbelianInvariants, abelian_invariants, classify_form
 from exotic4.manifolds import (
@@ -25,6 +25,7 @@ from exotic4.manifolds import (
     claimed_invariants,
     complement_presentation,
     schedule_Mkn,
+    verify_complement,
     verify_pi1,
 )
 
@@ -270,6 +271,24 @@ def test_pi1_check_without_enumeration_for_infinite_claims():
     assert verdict.enumeration is None and verdict.expected_index is None
     assert str(verdict.claimed) == "Z"
     assert not verdict.certifies_trivial
+
+
+def test_collapse_threshold_of_the_base_family_model():
+    # M(2,1) pi1 collapses to one coset at limit 51,130 but not at 51,129;
+    # the collapse-k2 benchmark runs both enumerations at 60,000.
+    # Rows are (definitions, coincidences, max_live, lookahead passes).
+    model = build_Mkn(FamilyParams(2, 1))
+    cases = [
+        (verify_pi1, 51_129, LimitExceeded(51_129), (65_604, 14_476, 51_129, 7)),
+        (verify_pi1, 51_130, Completed(1), (125_058, 125_058, 51_130, 9)),
+        (verify_pi1, 60_000, Completed(1), (135_686, 135_686, 60_000, 7)),
+        (verify_complement, 60_000, Completed(1), (133_471, 133_471, 60_000, 7)),
+    ]
+    for verify, limit, result, counts in cases:
+        outcome = verify(model, limit=limit).enumeration
+        s = outcome.stats
+        assert outcome.result == result, (verify.__name__, limit)
+        assert (s.definitions, s.coincidences, s.max_live, s.lookahead_passes) == counts
 
 
 def test_pi1_needs_family_parameters():

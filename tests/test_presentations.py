@@ -234,6 +234,20 @@ def test_tietze_fingerprint_is_pinned():
     assert digest == TIETZE_FINGERPRINT_SHA256, digest
 
 
+def short_words(rng, count):
+    """`count` reduced words of 1 to 7 letters over two generators; about one
+    in ten repeats an earlier word."""
+    words = []
+    for _ in range(count):
+        w = rng.choice(words) if words and rng.random() < 0.1 else ""
+        while not w:
+            w = letter_reduce("".join(
+                chr(rng.randrange(4)) for _ in range(rng.randint(1, 7))
+            ))
+        words.append(w)
+    return words
+
+
 def test_one_shortening_matches_the_brute_force_oracle():
     # Short words over two generators: periodic words, windows as long as the
     # target (h = |s|), sources of length 2 and 3 and equal relators are all
@@ -242,21 +256,14 @@ def test_one_shortening_matches_the_brute_force_oracle():
     rng = random.Random(20261019)
     seen = Counter()
     for _ in range(3000):
-        words = []
-        for _ in range(rng.randint(2, 3)):
-            w = rng.choice(words) if words and rng.random() < 0.1 else ""
-            while not w:
-                w = letter_reduce("".join(
-                    chr(rng.randrange(4)) for _ in range(rng.randint(1, 7))
-                ))
-            words.append(w)
+        words = short_words(rng, rng.randint(2, 3))
         before = list(words)
         first = next(
             ((si, hit) for si in range(len(words))
              if (hit := best_shortening(words, si)) is not None),
             None,
         )
-        rewrites, finished = _shorten_pass(words, letter_inverse, 1, {}, {})
+        rewrites, finished = _shorten_pass(words, letter_inverse, 1, set(), {})
         if first is None:
             assert (rewrites, finished, words) == (0, True, before)
             continue
@@ -272,9 +279,36 @@ def test_one_shortening_matches_the_brute_force_oracle():
     assert min(seen.values()) >= 50 and len(seen) == 5, seen
 
 
+def test_clean_strings_are_rescanned_only_against_new_ones():
+    # `clean` strings that the oracle shows cannot shorten one another: the
+    # pass must rewrite exactly as it does with nothing clean, which includes
+    # rewriting a clean target when another relator shortens it.
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(3000):
+        words = short_words(rng, rng.randint(3, 5))
+        clean = {w for w in words if rng.random() < 0.6}
+        held = [w for w in words if w in clean]
+        if not clean or any(best_shortening(held, j) is not None for j in range(len(held))):
+            continue
+        cap = rng.choice((1, 2, 100))
+        expected = list(words)
+        outcome = _shorten_pass(expected, letter_inverse, cap, set(), {})
+        got = list(words)
+        assert _shorten_pass(got, letter_inverse, cap, clean, {}) == outcome, words
+        assert got == expected, (words, clean)
+        seen["clean"] += 1
+        seen["clean target rewritten"] += any(
+            w in clean and w != e for w, e in zip(words, expected)
+        )
+        seen["cut"] += not outcome[1]
+    assert min(seen.values()) >= 50 and len(seen) == 3, seen
+
+
 def test_completed_simplifications_leave_no_shortening():
-    # The rescan marks and the misses memo skip pairs; at the end of a
-    # completed run no pair of the final relators may still shorten.
+    # The rescan marks and the clean hand-off skip pairs; at the end of a
+    # completed run no pair of the final relators may still shorten, and a
+    # pass that is handed them all as clean builds no windows.
     completed = 0
     for presentation, budget in tietze_cases():
         result = tietze_simplify(presentation, budget=budget)
@@ -284,4 +318,7 @@ def test_completed_simplifications_leave_no_shortening():
         words = relator_letters(result.presentation)
         for si in range(len(words)):
             assert best_shortening(words, si) is None, (presentation, budget, si)
+        windows = {}
+        assert _shorten_pass(words, letter_inverse, 1, set(words), windows) == (0, True)
+        assert windows == {}
     assert completed >= 500, completed
