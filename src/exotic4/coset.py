@@ -12,19 +12,23 @@ whole enumeration, and a dead coset's row is freed (set to None) as soon as
 its coincidence has drained it.  That is safe because the table keeps
 table[a][x] = b exactly when table[b][x^1] = a, so every pointer to a dead
 coset g is matched by an entry of g's row; draining the row clears those
-pointers, and once `coincidence` returns no row points at a dead coset.
+pointers, and once `coincidence` returns no row points at a dead coset.  So
+outside `coincidence` a coset c is dead exactly when table[c] is None, and
+the union-find parents `p` are `coincidence`'s own bookkeeping.  Only
+`define` creates a coset.
 
 Each coset id c also has a column mask, mask[c]: bit x is set whenever
 table[c][x] is defined, and bits are never cleared, so a mask is a superset
-of the defined columns.  Every write of a table entry sets its bit: `define`,
-HLT definitions and deductions in `scan`, lookahead deductions, and the
-merges of `coincidence`.  A coincidence can clear an entry of a live row for
-a moment and refill it later; the stale bit that leaves behind is harmless,
-because every reader of a mask still reads the entry itself and skips None.
-A coincidence drains a dead row over its mask's columns only: that walk
-meets the same entries in the same order as one over the whole row, because
-a row being drained only loses entries (see `coincidence`).  Masks live in an array("I") up to 32 columns, an array("Q") up to 64, and a
-list of Python ints beyond; all three go through the same code.
+of the defined columns.  Every write of a table entry sets its bit:
+`define`, deductions in `scan` and in lookahead, merges in `coincidence`.  A
+coincidence can clear an entry of a live row for a moment and refill it
+later; the stale bit that leaves behind is harmless, because every reader of
+a mask still reads the entry itself and skips None.  A coincidence drains a
+dead row over its mask's columns only: that walk meets the same entries in
+the same order as one over the whole row, because a row being drained only
+loses entries (see `coincidence`).  Masks live in an array("I") up to 32
+columns, an array("Q") up to 64, and a list of Python ints beyond; all three
+go through the same code.
 
 A lookahead pass skips the trace of relator w (length >= 2) at coset a when
 both a.w[0] and a.w[-1]^-1 are undefined: the forward trace then stops at
@@ -110,12 +114,13 @@ class _Enumerator:
     def __init__(self, presentation: Presentation, limit: int):
         self.ncols = 2 * len(presentation.generators)
         # Cyclically reduced relators as column tuples, duplicates and empty
-        # relators (whose trace closes at once) dropped, each paired with its
-        # inverse columns for tracing backwards.
-        self.relators = [
-            (w, tuple(x ^ 1 for x in w))
-            for w in dict.fromkeys(tuple(map(ord, s)) for s in relator_letters(presentation) if s)
-        ]
+        # relators (whose trace closes at once) dropped.  Each is the record
+        # (w, inv, w[0], w[-1]^-1, len(w) - 1), inv being the inverse columns
+        # for tracing backwards.
+        relators = self.relators = []
+        for w in dict.fromkeys(tuple(map(ord, s)) for s in relator_letters(presentation) if s):
+            inv = tuple(x ^ 1 for x in w)
+            relators.append((w, inv, w[0], inv[-1], len(w) - 1))
         self.limit = limit
         self.table: list[list[int | None]] = [[None] * self.ncols]
         # mask[c] has bit x set whenever table[c][x] is defined (see above),
@@ -126,13 +131,12 @@ class _Enumerator:
             self.mask = array("Q", (0,))
         else:
             self.mask = [0]
-        # Lookahead traces (w, inv, w[0], w[-1]^-1, len(w) - 1) worth
-        # starting under a mask, in relator order, and a mask's columns.
-        # The builders close over locals only: a closure over self would be
-        # a reference cycle that keeps the table alive until a GC run.
-        traces = [(w, inv, w[0], inv[-1], len(w) - 1) for w, inv in self.relators]
+        # The relators worth a lookahead trace under a mask, in relator
+        # order, and a mask's columns.  The builders close over locals only:
+        # a closure over self would be a reference cycle that keeps the
+        # table alive until a GC run.
         self.eligible = _Memo(
-            lambda m: tuple(t for t in traces if not t[4] or m >> t[2] & 1 or m >> t[3] & 1)
+            lambda m: tuple(r for r in relators if not r[4] or m >> r[2] & 1 or m >> r[3] & 1)
         )
         ncols = self.ncols
         self.columns = _Memo(lambda m: tuple(x for x in range(ncols) if m >> x & 1))
@@ -143,19 +147,26 @@ class _Enumerator:
         self.max_live = 1
         self.lookahead_passes = 0
 
-    def define(self, a: int, x: int):
-        if self.live >= self.limit:
+    def define(self, a: int, x: int) -> int:
+        """Define a new coset b = a.x and return it; raise _Overflow when
+        the table holds `limit` live cosets."""
+        live = self.live
+        if live >= self.limit:
             raise _Overflow
-        b = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(b)
-        self.live += 1
-        self.definitions += 1
-        self.max_live = max(self.max_live, self.live)
-        self.table[a][x] = b
-        self.table[b][x ^ 1] = a
+        table = self.table
+        b = len(table)
+        row = [None] * self.ncols
+        row[x ^ 1] = a
+        table.append(row)
+        table[a][x] = b
         self.mask[a] |= 1 << x
         self.mask.append(1 << (x ^ 1))
+        self.p.append(b)
+        self.live = live = live + 1
+        self.definitions += 1
+        if live > self.max_live:
+            self.max_live = live
+        return b
 
     def coincidence(self, a: int, b: int):
         """Merge cosets a and b and every coincidence that follows.  A merge
@@ -169,7 +180,9 @@ class _Enumerator:
         gain any, because every entry written here belongs to mu or nu, and
         both are live representatives.  A merge sets the bits of the entries
         it writes; nu's bit y is already set when nu is d, whose entry y
-        pointed at the dead coset."""
+        pointed at the dead coset.
+
+        a and b must be distinct live cosets."""
         table, p, mask, columns = self.table, self.p, self.mask, self.columns
 
         def rep(k: int) -> int:
@@ -180,12 +193,6 @@ class _Enumerator:
                 p[k], k = l, p[k]
             return l
 
-        if p[a] != a:
-            a = rep(a)
-        if p[b] != b:
-            b = rep(b)
-        if a == b:
-            return
         if a > b:
             a, b = b, a
         p[b] = a
@@ -230,11 +237,13 @@ class _Enumerator:
         self.live -= killed
         self.coincidences += killed
 
-    def scan(self, a: int, w: tuple[int, ...], inv: tuple[int, ...]):
-        """Trace relator w at coset a, defining cosets to close the scan."""
-        table, p, mask = self.table, self.p, self.mask
+    def scan(self, a: int, rel: tuple):
+        """Trace relator record rel at coset a, defining cosets to close the
+        scan."""
+        w, inv, _, _, j = rel
+        table, mask = self.table, self.mask
         f, i = a, 0
-        b, j = a, len(w) - 1
+        b = a
         while True:
             while i <= j and (e := table[f][w[i]]) is not None:
                 f, i = e, i + 1
@@ -254,23 +263,7 @@ class _Enumerator:
                 mask[f] |= 1 << w[i]
                 mask[b] |= 1 << inv[i]
                 return
-            # Define f.w[i], as `define` does, and step onto it.
-            live = self.live
-            if live >= self.limit:
-                raise _Overflow
-            e = len(table)
-            row = [None] * self.ncols
-            row[inv[i]] = f
-            table.append(row)
-            mask.append(1 << inv[i])
-            p.append(e)
-            table[f][w[i]] = e
-            mask[f] |= 1 << w[i]
-            self.live = live = live + 1
-            self.definitions += 1
-            if live > self.max_live:
-                self.max_live = live
-            f, i = e, i + 1
+            f, i = self.define(f, w[i]), i + 1
 
     def _lookahead(self, start: int) -> bool:
         """Trace every relator at every live coset from `start` on without
@@ -294,7 +287,7 @@ class _Enumerator:
         happen in the same order as when every relator is traced at every
         coset."""
         self.lookahead_passes += 1
-        table, p, mask, eligible = self.table, self.p, self.mask, self.eligible
+        table, mask, eligible = self.table, self.mask, self.eligible
         for a in range(start, len(table)):
             row = table[a]
             if row is None:
@@ -331,7 +324,7 @@ class _Enumerator:
                         continue
                     else:
                         self.coincidence(f, b)
-                        if p[a] != a:
+                        if table[a] is None:
                             break
                     if mask[a] != m:
                         m = mask[a]
@@ -341,20 +334,20 @@ class _Enumerator:
         return self.live < self.limit
 
     def run(self) -> Completed | LimitExceeded:
-        p = self.p
+        table = self.table
         ptr = 0
-        while ptr < len(self.table):
-            if p[ptr] != ptr:
+        while ptr < len(table):
+            if table[ptr] is None:
                 ptr += 1
                 continue
             try:
-                for w, inv in self.relators:
-                    self.scan(ptr, w, inv)
-                    if p[ptr] != ptr:
+                for rel in self.relators:
+                    self.scan(ptr, rel)
+                    if table[ptr] is None:
                         break
                 else:
                     for x in range(self.ncols):
-                        if self.table[ptr][x] is None:
+                        if table[ptr][x] is None:
                             self.define(ptr, x)
                 ptr += 1
             except _Overflow:

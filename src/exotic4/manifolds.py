@@ -379,20 +379,18 @@ def apply_schedule(
     for mv in moves:
         slot = None
         for rel in mv.removed_relations:
-            target = Word(rel.syllables)
             try:
-                i = relators.index(target)
+                i = relators.index(rel)
             except ValueError:
                 raise ScheduleMismatchError(
                     f"move {mv.torus_label!r} removes {rel}, which is not a relator"
                 ) from None
             del relators[i]
             slot = i if slot is None else min(slot, i)
-        added = [Word(w.syllables) for w in mv.added_relations]
         if slot is None:
-            relators.extend(added)
+            relators.extend(mv.added_relations)
         else:
-            relators[slot:slot] = added
+            relators[slot:slot] = mv.added_relations
     presentation = Presentation(base.presentation.generators, relators)
     h1 = abelian_invariants(presentation)
     char = CharNumbers.from_e_sigma_b1(base.char.e, base.char.sigma, h1.free_rank)

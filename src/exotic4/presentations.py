@@ -38,9 +38,8 @@ class Presentation:
 
     def without_relator(self, rel: Word) -> "Presentation":
         """Drop the first relator equal (as a reduced word) to `rel`."""
-        target = Word(rel.syllables)
         for i, r in enumerate(self.relators):
-            if r == target:
+            if r == rel:
                 return Presentation(self.generators, self.relators[:i] + self.relators[i + 1:])
         raise ValueError(f"relator {rel} not present")
 

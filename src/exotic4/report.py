@@ -207,12 +207,16 @@ def parse_spec(text: str) -> RunSpec:
     `remove <relation>` / `add <relation>` lines, closed by `end`.  `#`
     starts a comment.  Ranges are inclusive `lo..hi`.  An item repeated on
     one line, or a second `limit` line, is an error rather than an override.
+    A custom block without `name=` is named `custom-<i>` for the i-th block;
+    an empty name, or one an earlier block has (given or defaulted), is an
+    error.
     """
     families: list[FamilyParams] = []
     customs: list[CustomSchedule] = []
     limit = DEFAULT_LIMIT
     limit_line: int | None = None
     block: dict | None = None
+    name_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -294,8 +298,16 @@ def parse_spec(text: str) -> RunSpec:
                 raise SpecError("custom block needs k=", lineno)
             if block["k"] < 1:
                 raise SpecError("constraint violated: k >= 1", lineno)
-            if block["name"] is None:
-                block["name"] = f"custom-{len(customs) + 1}"
+            name = block["name"]
+            if name is None:
+                name = block["name"] = f"custom-{len(customs) + 1}"
+            elif not name:
+                raise SpecError("custom name= is empty", lineno)
+            if name in name_lines:
+                raise SpecError(
+                    f"custom name {name!r} already used on line {name_lines[name]}", lineno
+                )
+            name_lines[name] = lineno
         else:
             raise SpecError(f"unknown directive {head!r}", lineno)
     if block is not None:

@@ -43,6 +43,11 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        # Rebuild through __init__: the default slot restore would go
+        # through __setattr__, which refuses.
+        return (Word, (self.syllables,))
+
     @property
     def length(self) -> int:
         """Number of letters, counting multiplicity."""

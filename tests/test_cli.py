@@ -76,6 +76,13 @@ def test_custom_block_round_trip():
         ("custom k=2 name=a name=b\nremove [b1,d2]\nend\n",
          "line 1: custom item name= given twice"),
         ("limit 100\nfamily k=2 n=1\nlimit 200\n", "line 3: limit already given on line 1"),
+        ("custom k=2 name=\nremove [b1,d2]\nend\n", "line 1: custom name= is empty"),
+        ("custom k=2 name=a\nremove [b1,d2]\nend\ncustom k=2 name=a\nadd [b1,d2]\nend\n",
+         "line 4: custom name 'a' already used on line 1"),
+        ("custom k=2 name=custom-2\nremove [b1,d2]\nend\ncustom k=2\nadd [b1,d2]\nend\n",
+         "line 4: custom name 'custom-2' already used on line 1"),
+        ("custom k=2\nremove [b1,d2]\nend\ncustom k=2 name=custom-1\nadd [b1,d2]\nend\n",
+         "line 4: custom name 'custom-1' already used on line 1"),
     ],
 )
 def test_spec_diagnostics_name_the_problem(text, fragment):

@@ -7,6 +7,7 @@ from itertools import islice
 import pytest
 
 from _oracles import reference_lookahead
+from exotic4.manifolds import FamilyParams, build_Mkn
 from exotic4.words import Word, commutator, gen, parse_relation, parse_word
 from exotic4.presentations import Presentation, tietze_simplify
 from exotic4.coset import (
@@ -155,6 +156,31 @@ def test_table_is_symmetric_and_dead_rows_are_freed():
     assert dead > 0
 
 
+def test_every_definition_goes_through_define(monkeypatch):
+    # `define` is the only code that creates a coset, so the calls that
+    # return (one that overflows defines nothing) count the definitions.
+    define = _Enumerator.define
+    defined = 0
+
+    def counting_define(self, a, x):
+        nonlocal defined
+        b = define(self, a, x)
+        defined += 1
+        return b
+
+    monkeypatch.setattr(_Enumerator, "define", counting_define)
+    m21 = build_Mkn(FamilyParams(2, 1)).presentation
+    total = 0
+    for presentation, limit in [
+        *fingerprint_cases(), (STUBBORN, 13), (STUBBORN, 14), (m21, 60_000),
+    ]:
+        defined = 0
+        outcome = enumerate_cosets(presentation, limit=limit)
+        assert defined == outcome.stats.definitions, (presentation, limit)
+        total += defined
+    assert outcome.stats.definitions == 135_686 and total > 135_686
+
+
 def test_lookahead_skips_only_closed_cosets(monkeypatch):
     # A lookahead pass starts at the HLT pointer: every live coset below it
     # must already close every relator, so tracing there would be a no-op.
@@ -166,7 +192,7 @@ def test_lookahead_skips_only_closed_cosets(monkeypatch):
         for a in range(start):
             if self.table[a] is None:
                 continue
-            for w, _ in self.relators:
+            for w, *_ in self.relators:
                 f = a
                 for x in w:
                     f = self.table[f][x]
@@ -287,7 +313,7 @@ def test_lookahead_matches_the_reference_pass(monkeypatch):
         table = [None if row is None else list(row) for row in self.table]
         p = list(self.p)
         live, coincidences = self.live, self.coincidences
-        merged = reference_lookahead(table, p, [w for w, _ in self.relators], start)
+        merged = reference_lookahead(table, p, [w for w, *_ in self.relators], start)
         room = lookahead(self, start)
         assert self.table == table
         assert [root(self.p, c) for c in range(len(p))] == [root(p, c) for c in range(len(p))]

@@ -1,5 +1,6 @@
 """Every name a module of the package or of its tests imports is used by that
-module, and every parameter of a package function is read by its body."""
+module, every parameter of a package function is read by its body, and every
+function, method and class the package defines is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "exotic4"
+PERFBENCH = TESTS.parent / "perfbench"
 # Package modules by file name, test modules as tests/<name>.
 MODULES = {
     **{p.name: p for p in sorted(PACKAGE.glob("*.py"))},
@@ -99,4 +101,66 @@ def test_scan_finds_an_unused_parameter():
     )
     assert unused_parameters(source) == [
         "f: args (line 4)", "f: y (line 4)", "lambda: n (line 9)",
+    ]
+
+
+def unreferenced_definitions(package: dict[str, str], others: list[str]) -> list[str]:
+    """Functions, methods and classes (dunders excepted) defined in the
+    `package` sources, by module name, that no package or `others` source
+    references.  A reference is a name, an attribute, an imported name, or a
+    string constant that is a dotted path of identifiers naming it, as in
+    `"Word.substitute"`.  A definition itself is not a reference."""
+    referenced: set[str] = set()
+    for source in [*package.values(), *others]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    referenced.update(parts)
+    return [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, source in package.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    ]
+
+
+def test_every_package_definition_is_referenced():
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    others = [
+        p.read_text(encoding="utf-8")
+        for p in sorted([*TESTS.glob("*.py"), *PERFBENCH.glob("*.py")])
+    ]
+    assert unreferenced_definitions(package, others) == []
+
+
+def test_scan_finds_an_unreferenced_definition():
+    package = {
+        "a.py": (
+            "class A:\n"
+            "    def __repr__(self):\n"
+            "        return 'A'\n"
+            "    def used(self):\n"
+            "        def helper():\n"
+            "            return 1\n"
+            "        return helper()\n"
+            "    def wrapped(self):\n"
+            "        pass\n"
+            "    def unused(self):\n"
+            "        pass\n"
+            "def orphan():\n"
+            "    return A().used()\n"
+        ),
+    }
+    others = ["from a import A\nWRAPS = [('a', 'A.wrapped', 'group')]\nprint('not unused')\n"]
+    assert unreferenced_definitions(package, others) == [
+        "a.py: orphan (line 12)", "a.py: unused (line 10)",
     ]

@@ -1,6 +1,8 @@
 """Surgery models: invariants, schedules, verification gates, transforms."""
 
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -271,6 +273,19 @@ def test_pi1_check_without_enumeration_for_infinite_claims():
     assert verdict.enumeration is None and verdict.expected_index is None
     assert str(verdict.claimed) == "Z"
     assert not verdict.certifies_trivial
+
+
+def test_models_and_verdicts_copy_and_pickle():
+    # Word refuses attribute writes, so copies and unpickling must rebuild it
+    # through its constructor; models and verdicts hold Words throughout.
+    model = build_Mkn(FamilyParams(2, 1, 0, 1))
+    verdict = verify_pi1(model)
+    word = model.presentation.relators[0]
+    for obj in (word, model.presentation, model, verdict):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
+    assert asdict(model)["presentation"] == model.presentation
+    assert asdict(verdict)["simplification"]["presentation"] == verdict.simplification.presentation
 
 
 def test_collapse_threshold_of_the_base_family_model():
