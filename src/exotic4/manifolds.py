@@ -33,7 +33,8 @@ class ScheduleMismatchError(ValueError):
 
 
 class CertificateError(RuntimeError):
-    """An operation was refused because a required certificate is missing."""
+    """An operation was refused because a required certificate is missing,
+    or a certificate given does not fit the model."""
 
 
 PI1_TRIVIAL = "pi1-trivial"
@@ -460,8 +461,11 @@ class Pi1Verdict:
 
     `h1_check` compares the abelianization against the claimed Z/p + Z/r.
     `enumeration` is the coset-enumeration certificate over the trivial
-    subgroup for the as-built presentation (None if the claimed group is
-    infinite and enumeration was skipped).  `simplification` carries the
+    subgroup (None if the claimed group is infinite and enumeration was
+    skipped), and `enumerated` names the presentation it ran on:
+    "as-built" for the model's own, "complement" when a torus-complement
+    certificate whose group maps onto pi1 proved that group trivial, and None
+    when nothing was enumerated.  `simplification` carries the
     generator-elimination evidence.  `certifies_trivial` is True exactly when
     the enumeration completed with index 1.
     """
@@ -471,12 +475,18 @@ class Pi1Verdict:
     h1_check: bool
     simplification: TietzeResult
     enumeration: EnumerationOutcome | None
+    enumerated: str | None
     expected_index: int | None
     passed: bool
     certifies_trivial: bool
 
 
-def verify_pi1(model: ManifoldModel, *, limit: int = DEFAULT_LIMIT) -> Pi1Verdict:
+def verify_pi1(
+    model: ManifoldModel,
+    *,
+    limit: int = DEFAULT_LIMIT,
+    complement: ComplementVerdict | None = None,
+) -> Pi1Verdict:
     """Check the claimed pi1 = Z/p + Z/r of a family model.
 
     Enumeration runs on the as-built presentation only: its redundant
@@ -485,21 +495,35 @@ def verify_pi1(model: ManifoldModel, *, limit: int = DEFAULT_LIMIT) -> Pi1Verdic
     and at no limit tried did the simplified presentation complete where the
     as-built one had not.  The simplification is kept as elimination
     evidence.
+
+    A passed `complement` certificate replaces that enumeration.  Its
+    presentation must have the model's generators and a subset of its
+    relators (CertificateError otherwise): the identity on generators then
+    maps the complement group onto pi1, so the complement's Completed(1)
+    proves pi1 trivial too.  A certificate that did not pass leaves the
+    as-built enumeration to run.
     """
     if model.params is None:
         raise ParameterError("pi1 verification needs family parameters")
     if model.params.k < 2:
         raise ParameterError("pi1 claims are certified for k >= 2 only")
+    if complement is not None:
+        _check_quotient(complement.presentation, model.presentation)
     p, r = model.params.p, model.params.r
     claimed = claimed_invariants(p, r)
     computed = abelian_invariants(model.presentation)
     h1_check = computed == claimed
     simplification = tietze_simplify(model.presentation)
     enumeration = None
+    enumerated = None
     expected = None
     if p >= 1 and r >= 1:
         expected = p * r
-        enumeration = enumerate_cosets(model.presentation, limit=limit)
+        if complement is not None and complement.passed:
+            enumeration, enumerated = complement.enumeration, "complement"
+        else:
+            enumeration = enumerate_cosets(model.presentation, limit=limit)
+            enumerated = "as-built"
     enum_ok = enumeration is None or (
         enumeration.completed and enumeration.index == expected
     )
@@ -512,10 +536,27 @@ def verify_pi1(model: ManifoldModel, *, limit: int = DEFAULT_LIMIT) -> Pi1Verdic
         h1_check=h1_check,
         simplification=simplification,
         enumeration=enumeration,
+        enumerated=enumerated,
         expected_index=expected,
         passed=h1_check and enum_ok,
         certifies_trivial=certifies_trivial,
     )
+
+
+def _check_quotient(source: Presentation, target: Presentation) -> None:
+    """Refuse unless the identity on generators maps the group of `source`
+    onto the group of `target`: same generators, and every source relator a
+    target relator."""
+    if source.generators != target.generators:
+        raise CertificateError(
+            f"certificate generators {source.generators} are not the model's "
+            f"{target.generators}"
+        )
+    extra = set(source.relators) - set(target.relators)
+    if extra:
+        raise CertificateError(
+            f"certificate relators {sorted(map(str, extra))} are not the model's"
+        )
 
 
 def with_pi1_certificate(model: ManifoldModel, verdict: Pi1Verdict) -> ManifoldModel:
@@ -550,6 +591,9 @@ def complement_presentation(model: ManifoldModel) -> Presentation:
 
 @dataclass(frozen=True)
 class ComplementVerdict:
+    """The torus-complement enumeration and the presentation it ran on."""
+
+    presentation: Presentation
     enumeration: EnumerationOutcome
     passed: bool
 
@@ -560,7 +604,7 @@ def verify_complement(
     """Certify that the torus complement is simply connected."""
     pres = complement_presentation(model)
     outcome = enumerate_cosets(pres, limit=limit)
-    return ComplementVerdict(outcome, outcome.completed and outcome.index == 1)
+    return ComplementVerdict(pres, outcome, outcome.completed and outcome.index == 1)
 
 
 def with_complement_certificate(

@@ -390,8 +390,13 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
     record = _family_record(params)
     verdicts = record["verdicts"]
 
+    comp = None
     if params.k >= 2:
-        verdict = verify_pi1(model, limit=limit)
+        # For p = r = 1 the complement runs first: its group maps onto pi1, so
+        # its Completed(1) certifies both and pi1 needs no enumeration of its own.
+        if params.p == 1 and params.r == 1:
+            comp = verify_complement(model, limit=limit)
+        verdict = verify_pi1(model, limit=limit, complement=comp)
         model = with_pi1_certificate(model, verdict)
         verdicts["pi1"] = {
             "status": "pass" if verdict.passed else "fail",
@@ -400,7 +405,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             "h1_check": verdict.h1_check,
             "expected_index": verdict.expected_index,
             "enumeration": _enumeration_record(verdict.enumeration),
-            "enumerated": "as-built" if verdict.enumeration is not None else None,
+            "enumerated": verdict.enumerated,
             "tietze": _tietze_record(model, verdict.simplification),
         }
     else:
@@ -409,8 +414,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             "reason": "k=1: claims are modeled but not certified",
         }
 
-    if params.k >= 2 and params.p == 1 and params.r == 1 and model.certified(PI1_TRIVIAL):
-        comp = verify_complement(model, limit=limit)
+    if comp is not None and model.certified(PI1_TRIVIAL):
         model = with_complement_certificate(model, comp)
         verdicts["complement"] = {
             "status": "pass" if comp.passed else "fail",

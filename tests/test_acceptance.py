@@ -1,8 +1,9 @@
 """Acceptance gate: one test per numbered criterion, exact arithmetic only.
 
 `pytest -v tests/test_acceptance.py` prints one PASSED/FAILED line per
-criterion.  Criteria 2, 4, 10 and 11 run full coset enumerations on the
-as-built presentations and together take several minutes of CPU time; the
+criterion.  Criteria 2, 4, 10 and 11 run full coset enumerations (criterion 2
+on the as-built pi1 presentations, the others on torus complements, whose
+certificates also certify pi1) and together take minutes of CPU time; the
 10^6-coset ceiling is the contract, per-model wall time is hardware-bound
 and reported for information only.
 """
@@ -61,6 +62,7 @@ def test_criterion_02_pi1_triviality_certified_by_enumeration():
             elapsed = time.perf_counter() - started
             assert verdict.passed, f"(k,n)=({k},{n})"
             assert verdict.certifies_trivial
+            assert verdict.enumerated == "as-built"
             assert verdict.enumeration.completed
             assert verdict.enumeration.index == 1
             assert verdict.simplification.steps >= 0  # simplification evidence attached
@@ -92,8 +94,13 @@ def test_criterion_04_torus_complement_stays_simply_connected():
             elapsed = time.perf_counter() - started
             assert verdict.passed, f"(k,n)=({k},{n})"
             assert verdict.enumeration.index == 1
+            # the complement group maps onto pi1: one certificate serves both
+            derived = verify_pi1(model, complement=verdict)
+            assert derived.passed and derived.certifies_trivial
+            assert derived.enumerated == "complement"
+            assert derived.enumeration is verdict.enumeration
             print(f"criterion 4 [k={k} n={n}]: complement Completed(1) "
-                  f"in {elapsed:.1f}s")
+                  f"in {elapsed:.1f}s, pi1 certified through it")
 
 
 def test_criterion_05_intermediate_model_bookkeeping():
@@ -178,6 +185,8 @@ def test_criterion_10_family_with_matching_topology_but_distinct_smooth_structur
     by_m = {1: [], 2: []}
     for record in report["models"]:
         assert record["passed"], record["name"]
+        # one enumeration per model: the complement's certifies pi1 too
+        assert record["verdicts"]["pi1"]["enumerated"] == "complement", record["name"]
         by_m[record["params"]["m"]].append(record)
     for m, group in by_m.items():
         types = {r["verdicts"]["homeomorphism"]["type"] for r in group}
@@ -198,7 +207,7 @@ def test_criterion_10_family_with_matching_topology_but_distinct_smooth_structur
 
 # sha256 of the sweep's JSON report.  A change that alters any report byte
 # must update this constant and say why.
-SWEEP_SHA256 = "df2380180532ae69f84aa136509b650c004438fbfb629ad7d303757ba0ea283a"
+SWEEP_SHA256 = "9379d634041254a10e655c20c7444f86c95951c7d3d53aae545a29aaac3a4139"
 
 
 def test_criterion_11_reports_are_byte_stable(twice_run_sweep):

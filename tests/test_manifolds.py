@@ -1,13 +1,15 @@
 """Surgery models: invariants, schedules, verification gates, transforms."""
 
 import copy
+import hashlib
 import pickle
 from dataclasses import asdict, replace
 
 import pytest
 
-from exotic4 import manifolds
+from exotic4 import manifolds, report
 from exotic4.coset import Completed, LimitExceeded
+from exotic4.presentations import Presentation
 from exotic4.words import gen
 from exotic4.intlinalg import AbelianInvariants, abelian_invariants, classify_form
 from exotic4.manifolds import (
@@ -289,14 +291,19 @@ def test_models_and_verdicts_copy_and_pickle():
 
 
 def test_collapse_threshold_of_the_base_family_model():
-    # M(2,1) pi1 collapses to one coset at limit 51,130 but not at 51,129;
-    # the collapse-k2 benchmark runs both enumerations at 60,000.
+    # M(2,1) pi1 collapses to one coset at limit 51,130 but not at 51,129.
+    # Its complement collapses from 43,983 on, except in windows such as
+    # 47,000: the threshold is not monotone in the limit.
     # Rows are (definitions, coincidences, max_live, lookahead passes).
     model = build_Mkn(FamilyParams(2, 1))
     cases = [
         (verify_pi1, 51_129, LimitExceeded(51_129), (65_604, 14_476, 51_129, 7)),
         (verify_pi1, 51_130, Completed(1), (125_058, 125_058, 51_130, 9)),
         (verify_pi1, 60_000, Completed(1), (135_686, 135_686, 60_000, 7)),
+        (verify_complement, 43_982, LimitExceeded(43_982), (57_310, 13_329, 43_982, 10)),
+        (verify_complement, 43_983, Completed(1), (98_663, 98_663, 43_983, 16)),
+        (verify_complement, 47_000, LimitExceeded(47_000), (60_567, 13_568, 47_000, 7)),
+        (verify_complement, 51_129, Completed(1), (123_028, 123_028, 51_129, 9)),
         (verify_complement, 60_000, Completed(1), (133_471, 133_471, 60_000, 7)),
     ]
     for verify, limit, result, counts in cases:
@@ -304,6 +311,91 @@ def test_collapse_threshold_of_the_base_family_model():
         s = outcome.stats
         assert outcome.result == result, (verify.__name__, limit)
         assert (s.definitions, s.coincidences, s.max_live, s.lookahead_passes) == counts
+
+
+def counting_enumerations(monkeypatch):
+    """The list of presentations enumerated from here on."""
+    calls = []
+    real = manifolds.enumerate_cosets
+
+    def counting(presentation, **kwargs):
+        calls.append(presentation)
+        return real(presentation, **kwargs)
+
+    monkeypatch.setattr(manifolds, "enumerate_cosets", counting)
+    monkeypatch.setattr(report, "enumerate_cosets", counting)
+    return calls
+
+
+def test_one_enumeration_certifies_pi1_and_the_complement(monkeypatch):
+    # collapse-k2's model: the complement's Completed(1) is the pi1 record.
+    calls = counting_enumerations(monkeypatch)
+    record = report.run_family_model(FamilyParams(2, 1, 1, 1, 2), 60_000)
+    assert len(calls) == 1 and record["passed"]
+    pi1, comp = record["verdicts"]["pi1"], record["verdicts"]["complement"]
+    assert pi1["status"] == comp["status"] == "pass"
+    assert pi1["enumerated"] == "complement"
+    assert pi1["enumeration"] == comp["enumeration"] == {
+        "result": "completed", "index": 1,
+        "definitions": 133_471, "coincidences": 133_471, "max_live": 60_000,
+    }
+    # p.r = 0 and k = 1 models enumerate nothing.
+    for params in (FamilyParams(2, 1, 0, 1), FamilyParams(1, 1)):
+        calls.clear()
+        record = report.run_family_model(params, 60_000)
+        assert calls == [] and record["verdicts"]["complement"]["status"] == "not-applicable"
+
+
+def test_complement_certificate_below_the_pi1_threshold(monkeypatch):
+    # At 51,129 direct pi1 enumeration fails (see the threshold pins) but the
+    # complement completes, and its group maps onto pi1: the model passes.
+    calls = counting_enumerations(monkeypatch)
+    record = report.run_family_model(FamilyParams(2, 1), 51_129)
+    assert len(calls) == 1 and record["passed"]
+    pi1 = record["verdicts"]["pi1"]
+    assert (pi1["status"], pi1["enumerated"]) == ("pass", "complement")
+    assert pi1["enumeration"] == record["verdicts"]["complement"]["enumeration"] == {
+        "result": "completed", "index": 1,
+        "definitions": 123_028, "coincidences": 123_028, "max_live": 51_129,
+    }
+    assert record["certifications"] == [COMPLEMENT_TRIVIAL, PI1_TRIVIAL]
+    assert record["verdicts"]["homeomorphism"]["type"] == "3(S2xS2)"
+
+
+def test_failed_complement_falls_back_to_the_direct_pi1_run(monkeypatch):
+    # At 47,000 neither presentation collapses: the record is the direct pi1
+    # run's failure, the complement is not applicable, and both ran.
+    calls = counting_enumerations(monkeypatch)
+    model = build_Mkn(FamilyParams(2, 1))
+    record = report.run_family_model(FamilyParams(2, 1), 47_000)
+    assert calls == [complement_presentation(model), model.presentation]
+    assert not record["passed"] and record["certifications"] == []
+    pi1 = record["verdicts"]["pi1"]
+    assert (pi1["status"], pi1["enumerated"]) == ("fail", "as-built")
+    assert pi1["enumeration"] == {
+        "result": "limit-exceeded", "cosets_used": 47_000,
+        "definitions": 61_226, "coincidences": 14_227, "max_live": 47_000,
+    }
+    assert record["verdicts"]["complement"]["status"] == "not-applicable"
+    # The same bytes as when pi1 was always enumerated first.
+    digest = hashlib.sha256(report.render_json(record).encode()).hexdigest()
+    assert digest == "fdbf94e661dae0c4026dd0f4c6a2260fe1b11dbb2262e85b13cb0db556dd9ea4"
+
+
+def test_pi1_refuses_a_certificate_that_is_not_a_quotient():
+    model = build_Mkn(FamilyParams(2, 1))
+    comp = verify_complement(model, limit=100)
+    assert not comp.passed
+    pres = comp.presentation
+    extra = Presentation(pres.generators, pres.relators + (gen("c1") * gen("d1"),))
+    renamed = Presentation(
+        ("x1",) + pres.generators[1:],
+        [r.substitute("a1", gen("x1")) for r in pres.relators],
+    )
+    for bad in (extra, renamed):
+        forged = replace(comp, presentation=bad, passed=True)
+        with pytest.raises(CertificateError, match="are not the model's"):
+            verify_pi1(model, limit=100, complement=forged)
 
 
 def test_pi1_needs_family_parameters():
@@ -379,14 +471,7 @@ def test_log_transform_validates_multiplicity():
 
 
 def test_pi1_enumerates_only_the_as_built_presentation(monkeypatch):
-    calls = []
-    real = manifolds.enumerate_cosets
-
-    def counting(presentation, **kwargs):
-        calls.append(presentation)
-        return real(presentation, **kwargs)
-
-    monkeypatch.setattr(manifolds, "enumerate_cosets", counting)
+    calls = counting_enumerations(monkeypatch)
     model = build_Mkn(FamilyParams(2, 1))
     verdict = verify_pi1(model, limit=2000)
     assert calls == [model.presentation]
