@@ -26,18 +26,17 @@ class IntMatrix:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError(f"matrix entries must be plain ints, got {x!r}")
         if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise ValueError("ragged rows")
+            if cols is not None and cols != width:
+                raise ValueError(f"rows have {width} columns, not the {cols} given")
+            cols = width
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         self.rows = len(rows)
         self.cols = cols
         self.entries = rows
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -132,8 +131,8 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     """
     nr, nc = m.rows, m.cols
     d = m.to_lists()
-    u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]

@@ -69,6 +69,11 @@ class FamilyParams:
             if value < bound:
                 raise ParameterError(f"constraint violated: {name} >= {bound} (got {value})")
 
+    @property
+    def name(self) -> str:
+        """The report name of the member with these parameters."""
+        return f"M(k={self.k},n={self.n},p={self.p},r={self.r},m={self.m})"
+
 
 @dataclass(frozen=True)
 class CharNumbers:
@@ -128,8 +133,9 @@ class ManifoldModel:
     `form_basis` lists labeled geometrically-dual pairs; `form` is the
     pairing matrix in that basis (one hyperbolic block per pair) or an
     abstract representative when no labeled basis is attached.
-    `certifications` records which machine checks have succeeded; verdicts
-    attach certificates via a rebuild, never mutation.
+    `h1` is the abelianization of `presentation`.  `certifications` records
+    which machine checks have succeeded; verdicts attach certificates via a
+    rebuild, never mutation.
     """
 
     name: str
@@ -235,8 +241,8 @@ def _surface_relators(k: int) -> list[Word]:
     return [commutator(a1, b1) * commutator(a2, b2), base]
 
 
-def _torus_moves(params: FamilyParams) -> list[SurgeryMove]:
-    """The 2k+4 surgery moves: (torus, curve, coefficient, pre, post).
+def schedule_Mkn(params: FamilyParams) -> tuple[SurgeryMove, ...]:
+    """The 2k+4 torus surgery moves producing M(k, n, p, r) from X_k.
 
     Each move trades the pre-surgery commuting relation of its torus for the
     surgered relation.  The -1/p, -1/r moves exist only for k >= 2 (their
@@ -292,7 +298,7 @@ def _torus_moves(params: FamilyParams) -> list[SurgeryMove]:
              commutator(a1, dk1.inverse()),
              relator(commutator(a1, dk1.inverse()), ct), True),
     ]
-    return moves
+    return tuple(moves)
 
 
 def _xk_basis(k: int) -> tuple[tuple[str, str], ...]:
@@ -336,7 +342,7 @@ def build_Xk(k: int) -> ManifoldModel:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ParameterError(f"constraint violated: k >= 1 (got {k})")
-    pre = [m.removed_relations[0] for m in _torus_moves(FamilyParams(k, 1, 1, 1))]
+    pre = [mv.removed_relations[0] for mv in schedule_Mkn(FamilyParams(k, 1, 1, 1))]
     relators = _common_relators(k) + pre + _surface_relators(k)
     presentation = Presentation(family_generators(k), relators)
     h1 = abelian_invariants(presentation)
@@ -356,25 +362,16 @@ def build_Xk(k: int) -> ManifoldModel:
     )
 
 
-def schedule_Mkn(params: FamilyParams) -> tuple[SurgeryMove, ...]:
-    """The 2k+4 torus surgery moves producing M(k, n, p, r) from X_k."""
-    return tuple(_torus_moves(params))
-
-
-def apply_schedule(
-    base: ManifoldModel,
-    moves,
-    *,
-    params: FamilyParams | None = None,
-    name: str | None = None,
-) -> ManifoldModel:
+def apply_schedule(base: ManifoldModel, moves, *, name: str | None = None) -> ManifoldModel:
     """Apply surgery moves as in-place relation swaps and redo the bookkeeping.
 
-    Torus surgery preserves e and sigma (axiom recorded in reports); b1 is
-    recomputed from the abelianization of the rewritten presentation and b2
-    from e = 2 - 2*b1 + b2.  The labeled (2k-1)-pair basis is attached when
-    the swapped presentation has trivial H1 and the model is a p = r = 1
-    family member; full pi1 certification is still enumeration's job.
+    Torus surgery preserves e and sigma (axiom recorded in reports); H1 and b1
+    are recomputed from the abelianization of the rewritten presentation and
+    b2 from e = 2 - 2*b1 + b2.  The result keeps the base's symplectic flag
+    when every move is symplectic (None otherwise), drops X_k's
+    complex-surface note, and carries no family parameters, form basis or
+    Seiberg-Witten profile: `build_Mkn` attaches those for family members.
+    The default name is "<base name>/surgered".
     """
     relators = list(base.presentation.relators)
     for mv in moves:
@@ -394,51 +391,48 @@ def apply_schedule(
             relators[slot:slot] = mv.added_relations
     presentation = Presentation(base.presentation.generators, relators)
     h1 = abelian_invariants(presentation)
-    char = CharNumbers.from_e_sigma_b1(base.char.e, base.char.sigma, h1.free_rank)
-
-    notes = tuple(n for n in base.notes if not n.startswith("minimal complex surface"))
-    symplectic: bool | None
-    if params is not None:
-        # n = 1 keeps the symplectic structure for every (p, r); n >= 2
-        # provably destroys it (nontrivial basic-class count).
-        symplectic = params.n == 1
-        params = replace(params, m=1)
-        if params.k == 1:
-            notes += ("k=1: pi1 and classification claims are not certified; "
-                      "the surgered relation list is modeled for k >= 2 only",)
-    elif all(mv.symplectic is True for mv in moves):
-        symplectic = base.symplectic_flag
-    else:
-        symplectic = None
-    basis: tuple[tuple[str, str], ...] = ()
-    form = None
-    sw_profile = None
-    if params is not None and params.p == 1 and params.r == 1 and h1.trivial:
-        basis = _mkn_basis(params.k)
-        form = hyperbolic_form(len(basis))
-        sw_profile = (params.k, params.n, 1)
-    if name is None:
-        if params is not None:
-            name = f"M(k={params.k},n={params.n},p={params.p},r={params.r},m=1)"
-        else:
-            name = f"{base.name}/surgered"
+    symplectic = (
+        base.symplectic_flag if all(mv.symplectic is True for mv in moves) else None
+    )
     return ManifoldModel(
-        name=name,
-        params=params,
+        name=f"{base.name}/surgered" if name is None else name,
+        params=None,
         presentation=presentation,
-        char=char,
+        char=CharNumbers.from_e_sigma_b1(base.char.e, base.char.sigma, h1.free_rank),
         h1=h1,
-        form_basis=basis,
-        form=form,
-        sw_profile=sw_profile,
         symplectic_flag=symplectic,
-        notes=notes,
+        notes=tuple(n for n in base.notes if not n.startswith("minimal complex surface")),
     )
 
 
 def build_Mkn(params: FamilyParams) -> ManifoldModel:
-    """X_k surgered along the full family schedule (m is applied separately)."""
-    return apply_schedule(build_Xk(params.k), schedule_Mkn(params), params=params)
+    """X_k surgered along the full family schedule, named by its parameters
+    with m = 1 (the multiplicity-m transform is `apply_log_transform`).
+
+    On top of `apply_schedule` it attaches the family fields: `params` with
+    m = 1; the symplectic flag n == 1 (n = 1 keeps the symplectic structure
+    for every (p, r), n >= 2 provably destroys it through its basic-class
+    count); the k = 1 note; and, when p = r = 1 and H1 is trivial, the
+    labeled (2k-1)-pair basis with its hyperbolic form and the
+    Seiberg-Witten profile (k, n, 1).  Full pi1 certification is still
+    enumeration's job.
+    """
+    params = replace(params, m=1)
+    model = apply_schedule(build_Xk(params.k), schedule_Mkn(params), name=params.name)
+    notes = model.notes
+    if params.k == 1:
+        notes += ("k=1: pi1 and classification claims are not certified; "
+                  "the surgered relation list is modeled for k >= 2 only",)
+    model = replace(model, params=params, symplectic_flag=params.n == 1, notes=notes)
+    if params.p == 1 and params.r == 1 and model.h1.trivial:
+        basis = _mkn_basis(params.k)
+        model = replace(
+            model,
+            form_basis=basis,
+            form=hyperbolic_form(len(basis)),
+            sw_profile=(params.k, params.n, 1),
+        )
+    return model
 
 
 def build_Zk(k: int) -> ManifoldModel:
@@ -459,7 +453,8 @@ def claimed_invariants(p: int, r: int) -> AbelianInvariants:
 class Pi1Verdict:
     """Outcome of the fundamental-group check for a family model.
 
-    `h1_check` compares the abelianization against the claimed Z/p + Z/r.
+    `h1_check` compares the model's H1 (the abelianization its builder
+    computed) against the claimed Z/p + Z/r.
     `enumeration` is the coset-enumeration certificate over the trivial
     subgroup (None if the claimed group is infinite and enumeration was
     skipped), and `enumerated` names the presentation it ran on:
@@ -471,7 +466,6 @@ class Pi1Verdict:
     """
 
     claimed: AbelianInvariants
-    computed_h1: AbelianInvariants
     h1_check: bool
     simplification: TietzeResult
     enumeration: EnumerationOutcome | None
@@ -511,8 +505,7 @@ def verify_pi1(
         _check_quotient(complement.presentation, model.presentation)
     p, r = model.params.p, model.params.r
     claimed = claimed_invariants(p, r)
-    computed = abelian_invariants(model.presentation)
-    h1_check = computed == claimed
+    h1_check = model.h1 == claimed
     simplification = tietze_simplify(model.presentation)
     enumeration = None
     enumerated = None
@@ -532,7 +525,6 @@ def verify_pi1(
     )
     return Pi1Verdict(
         claimed=claimed,
-        computed_h1=computed,
         h1_check=h1_check,
         simplification=simplification,
         enumeration=enumeration,
@@ -649,7 +641,7 @@ def apply_log_transform(model: ManifoldModel, m: int) -> ManifoldModel:
         form = odd_diagonal_form(char.b2plus, char.b2 - char.b2plus)
         parity_note = "form odd (nonspin): abstract diagonal representative attached"
     return ManifoldModel(
-        name=f"M(k={k},n={n},p={params.p},r={params.r},m={m})",
+        name=params.name,
         params=params,
         presentation=Presentation((), ()),
         char=char,

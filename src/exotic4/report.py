@@ -375,7 +375,7 @@ def _family_record(params: FamilyParams) -> dict:
 
 def _failed_family_record(params: FamilyParams, error: str) -> dict:
     record = _family_record(params)
-    record["name"] = f"M(k={params.k},n={params.n},p={params.p},r={params.r},m={params.m})"
+    record["name"] = params.name
     record["error"] = error
     record["passed"] = False
     return record
@@ -401,7 +401,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
         verdicts["pi1"] = {
             "status": "pass" if verdict.passed else "fail",
             "claimed": str(verdict.claimed),
-            "computed_h1": str(verdict.computed_h1),
+            "computed_h1": str(model.h1),
             "h1_check": verdict.h1_check,
             "expected_index": verdict.expected_index,
             "enumeration": _enumeration_record(verdict.enumeration),
@@ -433,7 +433,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
         except CertificateError as exc:
             verdicts["transform"] = {"status": "fail", "reason": str(exc)}
 
-    record["name"] = model.name
+    record["name"] = params.name
     record.update(_model_record(model))
     record["certifications"] = sorted(model.certifications)
 

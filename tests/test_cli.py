@@ -5,6 +5,7 @@ kept fast with infinite-homology parameter choices (no enumeration) or small
 coset limits (quick refusals).
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -149,6 +150,42 @@ def test_transform_refusal_is_a_failed_verdict():
     model = json.loads(proc.stdout)["models"][0]
     assert model["verdicts"]["transform"]["status"] == "fail"
     assert "certificate" in model["verdicts"]["transform"]["reason"]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_records_are_named_by_their_requested_parameters(k):
+    # The m = 2 transform is refused here; its record still carries m=2.
+    result = report.run(parse_spec(f"family k={k} n=2 p=0 m=1..2\n"))
+    models = result["models"]
+    names = [r["name"] for r in models]
+    assert names == [manifolds.FamilyParams(**r["params"]).name for r in models]
+    assert len(set(names)) == len(names) == 2
+    assert models[1]["verdicts"]["transform"]["status"] == "fail"
+    rows = [line.split()[0] for line in report.render_table(result).splitlines()
+            if line.startswith("M(")]
+    assert rows == names
+
+
+# sha256 of the JSON report for spec text that `SWEEP_SHA256` (acceptance
+# criterion 11) does not reach: k = 1, p*r = 0, refused transforms, a finite
+# non-trivial pi1 and a custom block.
+WIDE_SPEC = """\
+family k=1 n=1..2 m=1..2
+family k=2 n=2 p=0..2 r=0..1 m=1..2
+family k=2 n=1 p=2 r=3
+custom k=2 name=tweak
+  remove [b1, d3]
+  add [b1, d3]^2
+end
+limit 20000
+"""
+WIDE_SHA256 = "decbe002d459f9c16fe39d43e4cf7989fdd1a1f8b954477811915052e4edb0f1"
+
+
+def test_wide_spec_report_bytes_are_pinned():
+    text = report.render_json(report.run(parse_spec(WIDE_SPEC)))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == WIDE_SHA256, f"wide-spec report sha256 is now {digest}"
 
 
 def test_limit_flag_overrides_the_spec_limit(tmp_path):

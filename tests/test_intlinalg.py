@@ -66,6 +66,8 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix(())  # needs explicit column count
     assert IntMatrix((), cols=3).rows == 0
+    with pytest.raises(ValueError, match="columns"):
+        IntMatrix([[1, 2]], cols=3)  # explicit width disagrees with the rows
     with pytest.raises((TypeError, ValueError)):
         IntMatrix(((1.5,),))
 

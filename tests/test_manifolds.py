@@ -10,7 +10,7 @@ import pytest
 from exotic4 import manifolds, report
 from exotic4.coset import Completed, LimitExceeded
 from exotic4.presentations import Presentation
-from exotic4.words import gen
+from exotic4.words import commutator, gen
 from exotic4.intlinalg import AbelianInvariants, abelian_invariants, classify_form
 from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
@@ -157,7 +157,7 @@ def test_apply_schedule_swaps_relations_in_place():
 def test_apply_schedule_then_inverse_restores_homology():
     base = build_Xk(2)
     sched = schedule_Mkn(FamilyParams(2, 3, 2, 1))
-    model = apply_schedule(base, sched, params=FamilyParams(2, 3, 2, 1))
+    model = build_Mkn(FamilyParams(2, 3, 2, 1))
     inverse = [
         SurgeryMove(
             torus_label=mv.torus_label,
@@ -215,6 +215,37 @@ def test_surgery_preserves_euler_number_and_signature():
 def test_first_homology_follows_the_order_parameters(p, r):
     model = build_Mkn(FamilyParams(2, 1, p, r))
     assert model.h1 == claimed_invariants(p, r)
+
+
+def test_every_model_carries_the_abelianization_of_its_presentation():
+    tweak = commutator(gen("b1"), gen("d3"))
+    custom = SurgeryMove("custom", "", "custom", (tweak,), (tweak ** 2,), None)
+    models = [
+        *(build_Xk(k) for k in (1, 2, 3)),
+        *(build_Mkn(FamilyParams(*t))
+          for t in ((1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 0, 1), (3, 1, 2, 2))),
+        build_Zk(2),
+        apply_schedule(build_Xk(2), (custom,), name="tweak"),
+        apply_log_transform(certified(build_Mkn(FamilyParams(2, 1))), 2),
+    ]
+    for model in models:
+        assert model.h1 == abelian_invariants(model.presentation), model.name
+
+
+def test_a_family_record_abelianizes_each_presentation_once(monkeypatch):
+    # X_k, M(2,1,0,1) and the claimed Z/0 + Z/1 once each: pi1 reads the
+    # model's stored H1 instead of abelianizing M a second time.
+    seen = []
+    real = manifolds.abelian_invariants
+
+    def counting(presentation):
+        seen.append(len(presentation.generators))
+        return real(presentation)
+
+    monkeypatch.setattr(manifolds, "abelian_invariants", counting)
+    record = report.run_family_model(FamilyParams(2, 1, 0, 1), 1000)
+    assert record["passed"] and record["verdicts"]["pi1"]["computed_h1"] == "Z"
+    assert seen == [10, 10, 2]
 
 
 def test_claimed_invariants_normalization():
