@@ -39,9 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", metavar="FILE", help="run-spec file (see README)")
     parser.add_argument("--k", help="genus parameter, int or lo..hi range")
     parser.add_argument("--n", help="surgery coefficient magnitude, int or range")
-    parser.add_argument("--p", default="1", help="first order parameter (default 1)")
-    parser.add_argument("--r", default="1", help="second order parameter (default 1)")
-    parser.add_argument("--m", default="1", help="transform multiplicity (default 1)")
+    parser.add_argument("--p", help="first order parameter (default 1)")
+    parser.add_argument("--r", help="second order parameter (default 1)")
+    parser.add_argument("--m", help="transform multiplicity (default 1)")
     parser.add_argument(
         "--limit", type=int,
         help=f"coset-table size bound (default: the spec's limit line, else {DEFAULT_LIMIT})",
@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args) -> RunSpec:
     if args.spec is not None:
-        if args.k is not None or args.n is not None:
-            raise SpecError("--spec and inline --k/--n are mutually exclusive")
+        if any(getattr(args, flag) is not None for flag in "knprm"):
+            raise SpecError("--spec and inline --k/--n/--p/--r/--m are mutually exclusive")
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()
@@ -76,6 +76,8 @@ def _spec_from_args(args) -> RunSpec:
     values = {}
     for flag in ("k", "n", "p", "r", "m"):
         text = getattr(args, flag)
+        if text is None:
+            text = "1"  # --p, --r and --m default to 1
         try:
             values[flag] = parse_range(text)
         except ValueError:

@@ -630,26 +630,22 @@ def apply_log_transform(model: ManifoldModel, m: int) -> ManifoldModel:
             "and verify_complement first"
         )
     params = replace(model.params, m=m)
-    k, n = params.k, params.n
     char = model.char
     if m % 2 == 1:
-        basis: tuple[tuple[str, str], ...] = ()
         form = hyperbolic_form(char.b2 // 2)
         parity_note = "form even (spin): abstract hyperbolic representative attached"
     else:
-        basis = ()
         form = odd_diagonal_form(char.b2plus, char.b2 - char.b2plus)
         parity_note = "form odd (nonspin): abstract diagonal representative attached"
-    return ManifoldModel(
+    return replace(
+        model,
         name=params.name,
         params=params,
         presentation=Presentation((), ()),
-        char=char,
         h1=AbelianInvariants((), 0),
-        form_basis=basis,
+        form_basis=(),
         form=form,
-        sw_profile=(k, n, m),
-        symplectic_flag=(n == 1),
+        sw_profile=(params.k, params.n, m),
         certifications=frozenset({PI1_TRIVIAL}),
         notes=model.notes
         + (

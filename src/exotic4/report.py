@@ -312,6 +312,10 @@ def parse_spec(text: str) -> RunSpec:
             raise SpecError(f"unknown directive {head!r}", lineno)
     if block is not None:
         raise SpecError("unterminated custom block (missing end)", block["line"])
+    family_names = {f.name for f in families}
+    for name, lineno in name_lines.items():
+        if name in family_names:
+            raise SpecError(f"custom name {name!r} is a family model's name", lineno)
     return RunSpec(unique_families(families), tuple(customs), limit)
 
 
@@ -365,29 +369,26 @@ def _sw_record(classes) -> dict:
     }
 
 
-def _family_record(params: FamilyParams) -> dict:
-    return {
-        "kind": "family",
-        "params": {"k": params.k, "n": params.n, "p": params.p, "r": params.r, "m": params.m},
-        "verdicts": {},
-    }
+def _record_head(item: FamilyParams | CustomSchedule) -> dict:
+    """The fields a model's record carries whether or not the model ran."""
+    if isinstance(item, FamilyParams):
+        return {
+            "kind": "family",
+            "name": item.name,
+            "params": {"k": item.k, "n": item.n, "p": item.p, "r": item.r, "m": item.m},
+            "verdicts": {},
+        }
+    return {"kind": "custom", "name": item.name, "params": {"k": item.k}}
 
 
-def _failed_family_record(params: FamilyParams, error: str) -> dict:
-    record = _family_record(params)
-    record["name"] = params.name
-    record["error"] = error
-    record["passed"] = False
-    return record
+def _failed_record(item: FamilyParams | CustomSchedule, error: str) -> dict:
+    return {**_record_head(item), "error": error, "passed": False}
 
 
 def run_family_model(params: FamilyParams, limit: int) -> dict:
     """Build, verify, transform and classify one family member."""
-    try:
-        model = build_Mkn(params)
-    except (ParameterError, ScheduleMismatchError) as exc:
-        return _failed_family_record(params, str(exc))
-    record = _family_record(params)
+    model = build_Mkn(params)
+    record = _record_head(params)
     verdicts = record["verdicts"]
 
     comp = None
@@ -433,7 +434,6 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
         except CertificateError as exc:
             verdicts["transform"] = {"status": "fail", "reason": str(exc)}
 
-    record["name"] = params.name
     record.update(_model_record(model))
     record["certifications"] = sorted(model.certifications)
 
@@ -502,19 +502,8 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
     return record
 
 
-def _failed_custom_record(custom: CustomSchedule, error: str) -> dict:
-    return {
-        "kind": "custom",
-        "name": custom.name,
-        "params": {"k": custom.k},
-        "error": error,
-        "passed": False,
-    }
-
-
 def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
     """Apply a user relation swap to X_k and report what can be computed."""
-    record: dict = {"kind": "custom", "name": custom.name, "params": {"k": custom.k}}
     try:
         base = build_Xk(custom.k)
         move = SurgeryMove(
@@ -527,10 +516,10 @@ def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
         )
         model = apply_schedule(base, (move,), name=custom.name)
     except (ParameterError, ScheduleMismatchError) as exc:
-        return _failed_custom_record(custom, str(exc))
+        return _failed_record(custom, str(exc))
     simplification = tietze_simplify(model.presentation)
     outcome = enumerate_cosets(model.presentation, limit=limit)
-    record.update(_model_record(model))
+    record = {**_record_head(custom), **_model_record(model)}
     record["verdicts"] = {
         "pi1": {
             "status": "reported",
@@ -543,47 +532,19 @@ def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
     return record
 
 
-def _failure(exc: Exception) -> str:
-    """Print the traceback of the exception being handled on stderr and
-    return the `error` text of the failed record that replaces the model's."""
-    traceback.print_exc()
-    detail = str(exc)
-    return f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
-
-
-def _family_task(args: tuple) -> dict:
-    """One family model's record.  An exception raised while running it,
-    `MemoryError` included, becomes that model's failed record, so the other
-    models still report; its traceback goes to stderr, not into the report."""
-    params, limit = args
+def _record(item: FamilyParams | CustomSchedule, limit: int) -> dict:
+    """One model's record, family or custom.  An exception raised while
+    running the model, `MemoryError` included, becomes that model's failed
+    record, so the other models still report; its traceback goes to stderr,
+    not into the report.  The `run_*` functions are looked up when this runs,
+    so a forked worker sees the module as the parent left it."""
+    run_model = run_family_model if isinstance(item, FamilyParams) else run_custom_model
     try:
-        return run_family_model(params, limit)
+        return run_model(item, limit)
     except Exception as exc:
-        return _failed_family_record(params, _failure(exc))
-
-
-def _custom_task(custom: CustomSchedule, limit: int) -> dict:
-    """One custom model's record, failing the way `_family_task` does."""
-    try:
-        return run_custom_model(custom, limit)
-    except Exception as exc:
-        return _failed_custom_record(custom, _failure(exc))
-
-
-def _pool_records(tasks: list[tuple], jobs: int) -> list[dict]:
-    """Run the family tasks on worker processes.  A worker that dies outright
-    breaks the pool: every model whose record never arrived gets a failed
-    record with error `BrokenProcessPool`, and the others keep theirs."""
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures = [pool.submit(_family_task, task) for task in tasks]
-        records = []
-        for (params, _), future in zip(tasks, futures):
-            try:
-                records.append(future.result())
-            except BrokenProcessPool:
-                traceback.print_exc()
-                records.append(_failed_family_record(params, "BrokenProcessPool"))
-    return records
+        traceback.print_exc()
+        name, detail = type(exc).__name__, str(exc)
+        return _failed_record(item, f"{name}: {detail}" if detail else name)
 
 
 def _pairwise_records(records: list[dict]) -> list[dict]:
@@ -623,12 +584,22 @@ def _pairwise_records(records: list[dict]) -> list[dict]:
 
 def run(spec: RunSpec, jobs: int = 1) -> dict:
     """Execute a run spec and assemble the deterministic report dict."""
-    tasks = [(params, spec.limit) for params in spec.families]
-    if jobs > 1 and len(tasks) > 1:
-        records = _pool_records(tasks, jobs)
+    items = [*spec.families, *spec.customs]
+    if jobs > 1 and len(items) > 1:
+        # A worker that dies outright breaks the pool: every model whose
+        # record never arrived gets a failed record with error
+        # `BrokenProcessPool`, and the others keep theirs.
+        records = []
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+            futures = [pool.submit(_record, item, spec.limit) for item in items]
+            for item, future in zip(items, futures):
+                try:
+                    records.append(future.result())
+                except BrokenProcessPool:
+                    traceback.print_exc()
+                    records.append(_failed_record(item, "BrokenProcessPool"))
     else:
-        records = [_family_task(t) for t in tasks]
-    records += [_custom_task(c, spec.limit) for c in spec.customs]
+        records = [_record(item, spec.limit) for item in items]
     records.sort(key=lambda r: r["name"])
     pairwise = _pairwise_records(records)
     passed = sum(1 for r in records if r.get("passed"))

@@ -84,6 +84,10 @@ def test_custom_block_round_trip():
          "line 4: custom name 'custom-2' already used on line 1"),
         ("custom k=2\nremove [b1,d2]\nend\ncustom k=2 name=custom-1\nadd [b1,d2]\nend\n",
          "line 4: custom name 'custom-1' already used on line 1"),
+        ("family k=2 n=1 p=0\ncustom k=2 name=M(k=2,n=1,p=0,r=1,m=1)\nremove [b1,d2]\nend\n",
+         "line 2: custom name 'M(k=2,n=1,p=0,r=1,m=1)' is a family model's name"),
+        ("custom k=2 name=M(k=2,n=1,p=0,r=1,m=1)\nremove [b1,d2]\nend\nfamily k=2 n=1 p=0\n",
+         "line 1: custom name 'M(k=2,n=1,p=0,r=1,m=1)' is a family model's name"),
     ],
 )
 def test_spec_diagnostics_name_the_problem(text, fragment):
@@ -123,10 +127,15 @@ def test_unknown_flag_is_a_usage_error():
     assert proc.returncode == 2
 
 
-def test_spec_and_inline_flags_are_exclusive(tmp_path):
+@pytest.mark.parametrize(
+    "inline",
+    [["--k", "2", "--n", "1"], ["--p", "3"], ["--r", "2"], ["--m", "2"]],
+    ids=["k-n", "p", "r", "m"],
+)
+def test_spec_and_inline_flags_are_exclusive(tmp_path, inline):
     spec = tmp_path / "run.spec"
     spec.write_text("family k=2 n=1\n")
-    proc = run_cli("--spec", str(spec), "--k", "2", "--n", "1")
+    proc = run_cli("--spec", str(spec), *inline)
     assert proc.returncode == 2
     assert "mutually exclusive" in proc.stderr
 
@@ -182,8 +191,9 @@ limit 20000
 WIDE_SHA256 = "decbe002d459f9c16fe39d43e4cf7989fdd1a1f8b954477811915052e4edb0f1"
 
 
-def test_wide_spec_report_bytes_are_pinned():
-    text = report.render_json(report.run(parse_spec(WIDE_SPEC)))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wide_spec_report_bytes_are_pinned(jobs):
+    text = report.render_json(report.run(parse_spec(WIDE_SPEC), jobs=jobs))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == WIDE_SHA256, f"wide-spec report sha256 is now {digest}"
 
@@ -197,7 +207,16 @@ def test_limit_flag_overrides_the_spec_limit(tmp_path):
     assert json.loads(proc.stdout)["run"]["limit"] == 1_000_000
 
 
-def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "family k=2 n=1..2 p=0\n",
+        "family k=2 n=1 p=0\ncustom k=2 name=tweak\n  remove [b1, d3]\n"
+        "  add [b1, d3]^3\nend\nlimit 1500\n",
+    ],
+    ids=["families", "family-and-custom"],
+)
+def test_worker_pool_is_capped_at_the_task_count(monkeypatch, text):
     seen = []
 
     class FakePool:
@@ -216,7 +235,7 @@ def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
             return future
 
     monkeypatch.setattr(report, "ProcessPoolExecutor", FakePool)
-    result = report.run(parse_spec("family k=2 n=1..2 p=0\n"), jobs=500)
+    result = report.run(parse_spec(text), jobs=500)
     assert seen == [2]
     assert result["summary"]["passed"] == 2
 
@@ -280,6 +299,38 @@ def test_dead_worker_becomes_a_failed_record(monkeypatch, capsys):
     assert "BrokenProcessPool" in capsys.readouterr().err
     assert main(["--k", "2", "--n", "1..2", "--p", "0", "--format", "json", "--jobs", "2"]) == 1
     assert json.loads(capsys.readouterr().out)["summary"]["failed"] >= 1
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked workers inherit the patched run_custom_model",
+)
+def test_dead_custom_worker_becomes_a_failed_record(monkeypatch, capsys):
+    spec = parse_spec(
+        "family k=2 n=1 p=0\n"
+        "custom k=2 name=tweak\n"
+        "  remove [b1, d3]\n"
+        "  add [b1, d3]^2\n"
+        "end\n"
+        "limit 1500\n"
+    )
+    parent = os.getpid()
+
+    def dies(custom, limit):
+        if os.getpid() == parent:
+            raise AssertionError("the custom model ran in the parent process")
+        os._exit(1)
+
+    monkeypatch.setattr(report, "run_custom_model", dies)
+    models = report.run(spec, jobs=2)["models"]
+    assert models[1] == {
+        "kind": "custom",
+        "name": "tweak",
+        "params": {"k": 2},
+        "error": "BrokenProcessPool",
+        "passed": False,
+    }
+    assert "BrokenProcessPool" in capsys.readouterr().err
 
 
 def test_custom_model_that_raises_becomes_a_failed_record(monkeypatch, capsys):
