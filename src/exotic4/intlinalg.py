@@ -38,25 +38,6 @@ class IntMatrix:
         self.cols = cols
         self.entries = rows
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose().entries
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries],
-            cols=other.cols,
-        )
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
@@ -123,7 +104,7 @@ class SmithNormalForm:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
-    """Diagonalize m over the integers: returns (d, u, v) with d = u @ m @ v,
+    """Diagonalize m over the integers: returns (d, u, v) with d = u m v,
     u and v unimodular, and the diagonal a nonnegative divisibility chain.
 
     Pivot rule: smallest nonzero absolute value in the working submatrix,
@@ -320,7 +301,7 @@ class FormType:
 
     kind is "hyperbolic" (even, signature 0: m copies of the rank-2 block),
     "odd" (diagonalizable over Z as b_plus <1> + b_minus <-1>), or "other"
-    (anything else, carrying the matrix itself)."""
+    (anything else, described by rank, signature and parity alone)."""
 
     kind: str
     rank: int
@@ -329,7 +310,6 @@ class FormType:
     hyperbolic_blocks: int | None = None
     b_plus: int | None = None
     b_minus: int | None = None
-    matrix: IntMatrix | None = None
 
     def __str__(self) -> str:
         if self.kind == "hyperbolic":
@@ -346,19 +326,17 @@ def classify_form(m: IntMatrix) -> FormType:
     even.  Indefinite unimodular forms are determined by rank, signature and
     parity; the two cases used here are m hyperbolic blocks and the odd
     diagonal form.  Everything else (non-unimodular input included) lands in
-    "other" with the matrix attached.
+    "other".
     """
     if not m.is_symmetric():
         raise ValueError("intersection form must be symmetric")
     sig, rank = signature_and_rank(m)
     parity = "odd" if any(x % 2 for x in m.diagonal()) else "even"
-    unimodular = m.rows > 0 and abs(determinant(m)) == 1 or m.rows == 0
-    if not unimodular:
-        return FormType("other", rank, sig, parity, matrix=m)
-    if parity == "even" and sig == 0 and rank % 2 == 0:
+    unimodular = abs(determinant(m)) == 1
+    if unimodular and parity == "even" and sig == 0 and rank % 2 == 0:
         return FormType("hyperbolic", rank, sig, parity, hyperbolic_blocks=rank // 2)
-    if parity == "odd":
+    if unimodular and parity == "odd":
         return FormType(
             "odd", rank, sig, parity, b_plus=(rank + sig) // 2, b_minus=(rank - sig) // 2
         )
-    return FormType("other", rank, sig, parity, matrix=m)
+    return FormType("other", rank, sig, parity)

@@ -509,9 +509,8 @@ def verify_pi1(
     simplification = tietze_simplify(model.presentation)
     enumeration = None
     enumerated = None
-    expected = None
-    if p >= 1 and r >= 1:
-        expected = p * r
+    expected = claimed.order
+    if expected is not None:
         if complement is not None and complement.passed:
             enumeration, enumerated = complement.enumeration, "complement"
         else:

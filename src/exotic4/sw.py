@@ -89,19 +89,17 @@ def enumerate_Zk_candidates(k: int) -> tuple[ClassVector, ...]:
 def basic_classes(k: int, n: int, m: int) -> BasicClassSet:
     """The |SW| table for the model at (k, n, m).
 
-    m = 1: the two classes +-(2kA + 2B), each with value n (Taubes value 1
-    on the intermediate model, multiplied to n by the -n surgery's gluing
-    formula).  m >= 2: the multiplicity-m transform spreads each into the m
-    classes +-(2kA + 2B) + jT with j in {-(m-1), -(m-3), ..., m-1}, each
-    keeping value n.
+    m = 1: the adjunction survivors of `enumerate_Zk_candidates(k)`, that
+    is +-(2kA + 2B), each with value n (Taubes value 1 on the intermediate
+    model, multiplied to n by the -n surgery's gluing formula).  m >= 2: the
+    multiplicity-m transform spreads each survivor L into the m classes
+    L + jT with j in {-(m-1), -(m-3), ..., m-1}, each keeping value n.
     """
     if k < 2 or n < 1 or m < 1:
         raise ContractError(f"need k >= 2, n >= 1, m >= 1 (got k={k}, n={n}, m={m})")
     js = range(-(m - 1), m, 2)
-    entries = [(ClassVector(2 * k, 2, j), n) for j in js]
-    entries += [(ClassVector(-2 * k, -2, j), n) for j in js]
-    entries.sort(key=lambda e: e[0])
-    return BasicClassSet((k, n, m), tuple(entries))
+    entries = [(ClassVector(c.s, c.t, j), n) for c in enumerate_Zk_candidates(k) for j in js]
+    return BasicClassSet((k, n, m), tuple(sorted(entries)))
 
 
 def spin_parity(k: int, n: int, m: int) -> str:
@@ -181,10 +179,6 @@ class SmoothVerdict:
     kind: str
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None
     tags: tuple[str, str]
-
-    @property
-    def nondiffeomorphic(self) -> bool:
-        return self.kind == "nondiffeomorphic"
 
 
 def symplectic_tag(n: int) -> str:

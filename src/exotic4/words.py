@@ -66,14 +66,14 @@ class Word:
         return Word(tuple((name, -exp) for name, exp in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
+        if len(self.syllables) == 1:
+            # One run: scale its exponent rather than repeat it |n| times.
+            ((name, exp),) = self.syllables
+            return Word(((name, exp * n),))
         if n == 0:
             return Word()
         base = self if n > 0 else self.inverse()
         return Word(base.syllables * abs(n))
-
-    def conjugate(self, by: "Word") -> "Word":
-        """by^-1 * self * by."""
-        return by.inverse() * self * by
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
         """Replace every occurrence of generator `name` by `replacement`."""
@@ -200,14 +200,6 @@ class _Parser:
             w = w * self._atom()
         return w
 
-    def parse_word(self) -> Word:
-        self._skip_ws()
-        w = self._word()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise WordSyntaxError("trailing input after word", self.pos)
-        return w
-
     def parse_relation(self) -> Word:
         self._skip_ws()
         lhs = self._word()
@@ -220,11 +212,6 @@ class _Parser:
         if self.pos != len(self.text):
             raise WordSyntaxError("trailing input after relation", self.pos)
         return relator(lhs, rhs)
-
-
-def parse_word(text: str) -> Word:
-    """Parse `a1*b2^-1*[a1,c1]` style syntax into a Word."""
-    return _Parser(text).parse_word()
 
 
 def parse_relation(text: str) -> Word:

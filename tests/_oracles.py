@@ -177,6 +177,14 @@ def reference_lookahead(table, p, relators, start: int) -> int:
 # ---------------------------------------------------------------- matrices
 
 
+def matmul(a, b) -> list[list[int]]:
+    """Product of two matrices given as lists of rows (b nonempty)."""
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def cofactor_determinant(rows) -> int:
     n = len(rows)
     if n == 0:

@@ -8,7 +8,7 @@ import pytest
 
 from _oracles import reference_lookahead
 from exotic4.manifolds import FamilyParams, build_Mkn
-from exotic4.words import Word, commutator, gen, parse_relation, parse_word
+from exotic4.words import Word, commutator, gen, parse_relation
 from exotic4.presentations import Presentation, tietze_simplify
 from exotic4.coset import (
     DEFAULT_LIMIT,
@@ -367,6 +367,6 @@ def test_commutator_quotient_of_free_group():
     # Abelianized rank-2 free group modulo squares: Z/2 x Z/2.
     p = Presentation(
         ("a", "b"),
-        (commutator(gen("a"), gen("b")), parse_word("a^2"), parse_word("b^2")),
+        (commutator(gen("a"), gen("b")), parse_relation("a^2"), parse_relation("b^2")),
     )
     assert enumerate_cosets(p).index == 4

@@ -1,6 +1,7 @@
 """Every name a module of the package or of its tests imports is used by that
 module, every parameter of a package function is read by its body, and every
-function, method and class the package defines is referenced somewhere."""
+function, method and class the package defines is referenced from the package
+or the benchmark harness."""
 
 import ast
 from pathlib import Path
@@ -133,13 +134,18 @@ def unreferenced_definitions(package: dict[str, str], others: list[str]) -> list
     ]
 
 
+# Definitions the pipeline does not call.  build_Zk builds the intermediate
+# model Z_k, whose invariants only the acceptance suite (criterion 5) checks.
+RUN_ONLY_BY_TESTS = ["manifolds.py: build_Zk"]
+
+
 def test_every_package_definition_is_referenced():
+    """Tests do not count as references: what only a test calls is dead
+    weight, unless RUN_ONLY_BY_TESTS names it."""
     package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    others = [
-        p.read_text(encoding="utf-8")
-        for p in sorted([*TESTS.glob("*.py"), *PERFBENCH.glob("*.py")])
-    ]
-    assert unreferenced_definitions(package, others) == []
+    others = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    unreferenced = unreferenced_definitions(package, others)
+    assert [entry.partition(" (line")[0] for entry in unreferenced] == RUN_ONLY_BY_TESTS
 
 
 def test_scan_finds_an_unreferenced_definition():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from exotic4.words import commutator, gen, parse_relation, parse_word
+from exotic4.words import commutator, gen, parse_relation
 from exotic4.presentations import Presentation
 from exotic4.intlinalg import (
     AbelianInvariants,
@@ -21,6 +21,7 @@ from _oracles import (
     cofactor_determinant,
     congruent,
     determinantal_divisor_factors,
+    matmul,
     random_unimodular,
     rational_signature,
 )
@@ -30,13 +31,6 @@ def mat(rows, cols=None):
     if cols is None:
         return IntMatrix(tuple(tuple(r) for r in rows))
     return IntMatrix(tuple(tuple(r) for r in rows), cols=cols)
-
-
-def matmul(a, b):
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 def assert_snf_certificate(m: IntMatrix):
@@ -108,7 +102,7 @@ def test_snf_handles_zero_and_rectangular_matrices():
 
 
 def test_exponent_matrix_counts_signed_occurrences():
-    p = Presentation(("x", "y"), (parse_word("x^2*y^-3"),))
+    p = Presentation(("x", "y"), (parse_relation("x^2*y^-3"),))
     assert exponent_matrix(p).entries == ((2, -3),)
     # a commutator contributes nothing to any column
     q = Presentation(

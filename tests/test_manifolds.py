@@ -308,6 +308,19 @@ def test_pi1_check_without_enumeration_for_infinite_claims():
     assert not verdict.certifies_trivial
 
 
+def test_pi1_expects_the_order_of_the_claimed_group(monkeypatch):
+    # The expected index is the claimed group's order, not a formula of its
+    # own: a claim of Z/7 on a p = 0 model makes verify_pi1 enumerate and
+    # expect 7 cosets.
+    monkeypatch.setattr(
+        manifolds, "claimed_invariants", lambda p, r: AbelianInvariants((7,), 0)
+    )
+    verdict = verify_pi1(build_Mkn(FamilyParams(2, 1, 0, 1)), limit=100)
+    assert verdict.expected_index == 7
+    assert verdict.enumerated == "as-built"
+    assert not verdict.passed
+
+
 def test_models_and_verdicts_copy_and_pickle():
     # Word refuses attribute writes, so copies and unpickling must rebuild it
     # through its constructor; models and verdicts hold Words throughout.

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from exotic4.words import Word, commutator, gen, parse_word
+from exotic4.words import Word, commutator, gen, parse_relation
 from exotic4.presentations import (
     Presentation,
     _from_letters,
@@ -30,7 +30,7 @@ from _oracles import (
 
 
 def pres(gens, *relator_texts):
-    return Presentation(tuple(gens), tuple(parse_word(t) for t in relator_texts))
+    return Presentation(tuple(gens), tuple(parse_relation(t) for t in relator_texts))
 
 
 def test_unknown_symbol_rejected():
@@ -104,7 +104,7 @@ def test_group_order_invariant_under_simplification():
     s3 = pres(["a", "b"], "a^2", "b^2", "(a*b)^3", "(b*a)^3")
     z6 = Presentation(
         ("x", "y"),
-        (commutator(gen("x"), gen("y")), parse_word("x^2"), parse_word("y^3")),
+        (commutator(gen("x"), gen("y")), parse_relation("x^2"), parse_relation("y^3")),
     )
     for p in (s3, z6):
         before = enumerate_cosets(p)
@@ -142,7 +142,7 @@ def test_without_relator():
     shrunk = p.without_relator(gen("a") ** 2)
     assert shrunk.relators == (gen("b") ** 2,)
     with pytest.raises(ValueError):
-        p.without_relator(parse_word("a*b"))
+        p.without_relator(parse_relation("a*b"))
 
 
 def test_presentations_compare_by_content():

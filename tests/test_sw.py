@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from exotic4 import sw
 from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
     PI1_TRIVIAL,
@@ -91,6 +92,15 @@ def test_basic_classes_spread_by_multiplicity():
     assert {c.j for c in deep.classes} == {-3, -1, 1, 3}
     assert all(v == 4 for _, v in deep.entries)
     assert {(c.s, c.t) for c in deep.classes} == {(6, 2), (-6, -2)}
+
+
+def test_basic_classes_spread_the_candidate_survey(monkeypatch):
+    # basic_classes reads its m = 1 classes from the adjunction survey
+    # rather than restating them.
+    monkeypatch.setattr(sw, "enumerate_Zk_candidates", lambda k: (ClassVector(2, 4),))
+    assert basic_classes(2, 3, 1).entries == ((ClassVector(2, 4, 0), 3),)
+    spread = basic_classes(2, 3, 2).classes
+    assert spread == (ClassVector(2, 4, -1), ClassVector(2, 4, 1))
 
 
 def test_basic_classes_closed_under_negation():
@@ -189,7 +199,6 @@ def test_different_twists_are_distinguished_by_the_value_multiset():
     b = basic_classes(2, 2, 1)
     verdict = distinguish(a, b)
     assert verdict.kind == "nondiffeomorphic"
-    assert verdict.nondiffeomorphic
     assert verdict.witness == ((1, 1), (2, 2))
     assert verdict.tags == (symplectic_tag(1), symplectic_tag(2))
     mirrored = distinguish(b, a)
@@ -202,7 +211,6 @@ def test_equal_spectra_are_indistinguishable_by_this_invariant():
     b = basic_classes(2, 2, 1)
     verdict = distinguish(a, b)
     assert verdict.kind == "indistinguishable"
-    assert not verdict.nondiffeomorphic
     assert verdict.witness is None
 
 

@@ -1,10 +1,11 @@
 """Free-group words: reduction, algebra, and the text syntax."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from exotic4.words import Word, commutator, gen, parse_relation, parse_word, relator
+from exotic4.words import Word, commutator, gen, parse_relation, relator
 from exotic4.words import WordSyntaxError
 
 from _oracles import flat_letters, random_syllables, stack_reduce
@@ -28,13 +29,13 @@ def test_commutator_expands_to_length_four():
 
 def test_product_inverse_reverses_factors():
     assert (a * b).inverse() == b.inverse() * a.inverse()
-    w = parse_word("a^2*b^-3*a")
+    w = parse_relation("a^2*b^-3*a")
     assert (w * w.inverse()).is_identity()
     assert w.inverse().inverse() == w
 
 
 def test_parse_squared_commutator_times_inverse_generator():
-    w = parse_word("[b2, c1^-1]^2 * d1^-1")
+    w = parse_relation("[b2, c1^-1]^2 * d1^-1")
     assert w.length == 9
     assert w.syllables == (
         ("b2", -1), ("c1", 1), ("b2", 1), ("c1", -1),
@@ -44,10 +45,10 @@ def test_parse_squared_commutator_times_inverse_generator():
 
 
 def test_parse_grouping_and_powers():
-    assert parse_word("(a*b)^2") == a * b * a * b
-    assert parse_word("(a*b)^-1") == b.inverse() * a.inverse()
-    assert parse_word("1") == Word()
-    assert parse_word("a^0") == Word()
+    assert parse_relation("(a*b)^2") == a * b * a * b
+    assert parse_relation("(a*b)^-1") == b.inverse() * a.inverse()
+    assert parse_relation("1") == Word()
+    assert parse_relation("a^0") == Word()
 
 
 def test_relation_becomes_left_times_right_inverse():
@@ -98,26 +99,40 @@ def test_str_parse_round_trip():
         w = Word()
         for name, exp in sylls:
             w = w * gen(name) ** exp
-        assert parse_word(str(w)) == w
+        assert parse_relation(str(w)) == w
 
 
 def test_powers_and_conjugates():
-    w = parse_word("a*b^-1")
+    w = parse_relation("a*b^-1")
     assert w ** 0 == Word()
     assert w ** -2 == (w.inverse()) ** 2
-    assert w.conjugate(gen("c")) == parse_word("c^-1*a*b^-1*c")
+
+
+def test_power_of_one_syllable_scales_its_exponent():
+    # A run raised to a large power must not be repeated letter by letter
+    # before reduction: that took seconds and tens of MiB at 10^7.
+    tracemalloc.start()
+    try:
+        w = parse_relation("a1^10000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.syllables == (("a1", 10_000_000),)
+    assert peak < 1 << 20
+    assert gen("a") ** -3 == Word((("a", -3),))
+    assert gen("a") ** 0 == Word()
 
 
 def test_substitution_rewrites_each_occurrence():
-    w = parse_word("a*b*a^-1")
-    rewritten = w.substitute("a", parse_word("c*d"))
-    assert rewritten == parse_word("c*d*b*d^-1*c^-1")
-    unchanged = w.substitute("z", parse_word("c"))
+    w = parse_relation("a*b*a^-1")
+    rewritten = w.substitute("a", parse_relation("c*d"))
+    assert rewritten == parse_relation("c*d*b*d^-1*c^-1")
+    unchanged = w.substitute("z", parse_relation("c"))
     assert unchanged == w
 
 
 def test_symbols_lists_every_generator_used():
-    w = parse_word("[a, b]^2 * c")
+    w = parse_relation("[a, b]^2 * c")
     assert w.symbols() == {"a", "b", "c"}
 
 
