@@ -364,9 +364,15 @@ def enumerate_cosets(
 ) -> EnumerationOutcome:
     """Enumerate cosets of the trivial subgroup.
 
-    Completed(index) proves the presented group has order `index`.  The
-    enumeration completes in bounded time for finite groups given a large
-    enough limit; for infinite groups it always returns LimitExceeded.
+    Completed(index) proves the presented group has order `index`; it is
+    returned once every live coset is scanned closed under every relator,
+    which happens for a finite group given a large enough limit.
+    LimitExceeded is returned only when a definition is due with `limit`
+    cosets live and the lookahead pass that follows still leaves `limit`
+    cosets live.  Nothing else stops the enumeration, so for an infinite
+    group it does not always end: when each lookahead pass frees cosets
+    and coincidences keep the live count below `limit`, it keeps defining
+    cosets without end, as M(2,1) with p = 0, r = 1 does at limit 100,000.
     """
     if limit < 1:
         raise ValueError("limit must be positive")

@@ -1,5 +1,10 @@
 """Finite presentations and Tietze simplification by generator elimination.
 
+Simplification only eliminates generators that a relator defines; it never
+shortens one relator by another, so each elimination reads and writes every
+relator once.  Its result is evidence for the report (the generators left
+and the eliminations made); no verdict reads it.
+
 This module owns the letter encoding that Tietze simplification and coset
 enumeration work on: generator i is letter 2i, its inverse 2i+1, and a
 relator is the str of its letters' code points (see `relator_letters`).
@@ -63,8 +68,11 @@ class TietzeResult:
     presentation: Presentation
     # (generator, defining relator, substituted word) per elimination, in order.
     eliminations: tuple[tuple[str, Word, Word], ...]
-    steps: int
-    completed: bool
+
+    @property
+    def steps(self) -> int:
+        """Tietze moves made: one per elimination."""
+        return len(self.eliminations)
 
 
 def _reduced(letters: str) -> str:
@@ -94,121 +102,6 @@ def relator_letters(presentation: Presentation) -> list[str]:
 
 def _from_letters(letters: str, names: tuple[str, ...]) -> Word:
     return Word((names[ord(c) >> 1], 1 if ord(c) % 2 == 0 else -1) for c in letters)
-
-
-def _source_windows(r: str, inverse) -> tuple[int, dict[str, int]]:
-    """(h, windows) for a source relator r, h = |r|//2 + 1.
-
-    The dict maps each length-h window of a rotation of r or of r^-1 to the
-    least rotation that starts with it: rotation i < |r| is r rotated left by
-    i, rotation |r| + i is r^-1 rotated left by i.  A relator shorter than 2
-    offers no window.
-    """
-    h = len(r) // 2 + 1
-    if len(r) < 2:
-        return h, {}
-    dd, ii = r + r, inverse(r) * 2
-    starts = [dd[i:i + h] for i in range(len(r))] + [ii[i:i + h] for i in range(len(r))]
-    # Built back to front, so the least rotation of a window wins.
-    return h, {u: i for i, u in reversed(list(enumerate(starts)))}
-
-
-def _shorten_pass(
-    words: list[str], inverse, cap: int, clean: set[str],
-    windows: dict[str, tuple[int, dict[str, int]]],
-) -> tuple[int, bool]:
-    """Shorten relators against each other, in place.
-
-    If some cyclic rotation of a relator (or its inverse) splits as u*v with
-    |u| > |v| and u occurs in another relator, that occurrence may be replaced
-    by v^-1, strictly shortening it.  This is a Tietze move (multiply by a
-    conjugate of the relator) and is what unlocks eliminations the plain
-    substitution pass cannot see.  Returns (rewrites, finished); finished is
-    False when a rewrite was due after `cap` rewrites had been made.
-
-    Sweeps run over the targets in order and rewrite each target once, at
-    the least (position in target, source index, rotation) among all
-    occurrences; they repeat until a sweep rewrites nothing.  A source r
-    offers the windows of `_source_windows` (cached in `windows`, keyed by
-    string); the target s offers, per window length h, each window of s+s
-    starting below |s|, with its first start.  An occurrence at q >= |s|
-    has a twin at q - |s|, so the pair hits exactly when the two key sets
-    intersect, and the least common window gives the pair's best rewrite.
-
-    Scanning a (target, source) pair reads only those two strings.  So a
-    target whose scan found nothing is marked with the length of the log of
-    rewritten indices, and later sweeps rescan it only against the indices
-    logged since; a rewrite of the target drops its mark.  No two strings in
-    `clean` shorten each other, so the log starts with the other indices and
-    a clean target starts marked at 0.  Those seeded entries count neither
-    as rewrites nor towards `cap`.  The caller keeps `windows` across
-    passes; each pass first prunes it to the current relators.
-    """
-    live = set(words)
-    for r in list(windows):
-        if r not in live:
-            del windows[r]
-    rewritten = [i for i, s in enumerate(words) if s not in clean]
-    seeded = len(rewritten)
-    # Target index -> len(rewritten) at its last miss.
-    marks = {i: 0 for i, s in enumerate(words) if s in clean}
-    changed = True
-    while changed:
-        changed = False
-        for si in range(len(words)):
-            s = words[si]
-            if not s:
-                continue
-            mark = marks.get(si)
-            if mark is None:
-                sources = range(len(words))
-            elif mark == len(rewritten):
-                continue
-            else:
-                sources = set(rewritten[mark:])
-            best = None  # (position in s, source index, source rotation)
-            n = len(s)
-            doubled_s = s + s
-            by_h: dict[int, dict[str, int]] = {}
-            for ri in sources:
-                if ri == si:
-                    continue
-                r = words[ri]
-                source = windows.get(r)
-                if source is None:
-                    source = windows[r] = _source_windows(r, inverse)
-                h, wr = source
-                if h > n:
-                    continue
-                ws = by_h.get(h)
-                if ws is None:
-                    ws = by_h[h] = {
-                        doubled_s[q:q + h]: q for q in range(n - 1, -1, -1)
-                    }
-                common = wr.keys() & ws.keys()
-                if not common:
-                    continue
-                key = min((ws[u], ri, wr[u]) for u in common)
-                if best is None or key < best:
-                    best = key
-            if best is None:
-                marks[si] = len(rewritten)
-                continue
-            if len(rewritten) - seeded >= cap:
-                return len(rewritten) - seeded, False
-            q, ri, rotation = best
-            variant, off = divmod(rotation, len(words[ri]))
-            r = inverse(words[ri]) if variant else words[ri]
-            dd = r + r
-            h = len(r) // 2 + 1
-            v = dd[off + h:off + len(r)]
-            words[si] = _reduced(inverse(v) + doubled_s[q + h:q + n])
-            if s not in words:  # s is gone: keep its windows off the peak
-                windows.pop(s, None)
-            marks.pop(si, None)
-            rewritten.append(si)
-            changed = True
-    return len(rewritten) - seeded, True
 
 
 def _cleanup(words: list[str], inverse) -> list[str]:
@@ -246,24 +139,18 @@ def _find_candidate(words: list[str]):
     return best
 
 
-def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> TietzeResult:
-    """Simplify a presentation by generator elimination plus relator shortening.
+def tietze_simplify(presentation: Presentation) -> TietzeResult:
+    """Simplify a presentation by generator elimination, and nothing else.
 
     A relator x g^e y with e = +-1 and no other g lets us solve for g and
-    substitute everywhere, dropping both g and the relator; generators with a
-    length <= 2 defining relator go first, then longer ones, ordered by
-    generator index.  Between eliminations, relators are shortened against
-    each other (see _shorten_pass) and deduplicated.  `budget` caps the total
-    number of eliminations plus rewrites; when it stops one, the presentation
-    reached so far is returned with completed=False.
-
-    A shortening pass that finishes ends with a sweep that rewrote nothing,
-    so no two of its relators shorten each other, and deduplication only
-    drops relators.  Their strings are handed to the next pass as `clean`:
-    a relator that elimination leaves unchanged is scanned again only
-    against the new ones (see _shorten_pass).  `windows` holds each source's
-    window dict (see _source_windows), keyed by string, so a relator that
-    survives a pass is not re-sliced in the next.
+    substitute everywhere, dropping both g and the relator.  Each round
+    takes the cheapest such relator (see _find_candidate), substitutes it,
+    and then reduces the relators and drops empty and repeated ones (see
+    _cleanup).  Rounds repeat until no relator defines a generator; each
+    one removes a generator, so there are at most as many rounds as
+    generators.  Relators are never rewritten by one another, so a round
+    reads and writes each relator once, in time and memory linear in its
+    length.
     """
     names = presentation.generators
     swap = {c: c ^ 1 for c in range(2 * len(names))}
@@ -273,24 +160,7 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
 
     words = _cleanup(relator_letters(presentation), inverse)
     eliminated: list[tuple[int, str, str]] = []
-    clean: set[str] = set()
-    windows: dict[str, tuple[int, dict[str, int]]] = {}
-    steps = 0
-    while True:
-        rewrites, completed = _shorten_pass(
-            words, inverse, budget - steps, clean, windows
-        )
-        steps += rewrites
-        words = _cleanup(words, inverse)
-        if not completed:
-            break
-        clean = set(words)
-        cand = _find_candidate(words)
-        if cand is None:
-            break
-        if steps >= budget:
-            completed = False
-            break
+    while (cand := _find_candidate(words)) is not None:
         ri, pos = cand
         s = words.pop(ri)
         letter = ord(s[pos])
@@ -302,7 +172,6 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
         table = {2 * g: replacement, 2 * g + 1: inverse(replacement)}
         words = _cleanup([_reduced(w.translate(table)) for w in words], inverse)
         eliminated.append((g, s, replacement))
-        steps += 1
     gone = {g for g, _, _ in eliminated}
     return TietzeResult(
         Presentation(
@@ -313,6 +182,4 @@ def tietze_simplify(presentation: Presentation, budget: int = 100_000) -> Tietze
             (names[g], _from_letters(s, names), _from_letters(rep, names))
             for g, s, rep in eliminated
         ),
-        steps,
-        completed,
     )

@@ -47,7 +47,7 @@ from .sw import (
     irreducibility_check,
     spin_parity,
 )
-from .words import Word, WordSyntaxError, parse_relation
+from .words import MAX_RELATOR_LENGTH, Word, parse_relation
 
 
 ASSUMPTIONS = (
@@ -209,7 +209,7 @@ def parse_spec(text: str) -> RunSpec:
     one line, or a second `limit` line, is an error rather than an override.
     A custom block without `name=` is named `custom-<i>` for the i-th block;
     an empty name, or one an earlier block has (given or defaulted), is an
-    error.
+    error, and so is a relation of more than MAX_RELATOR_LENGTH letters.
     """
     families: list[FamilyParams] = []
     customs: list[CustomSchedule] = []
@@ -239,8 +239,13 @@ def parse_spec(text: str) -> RunSpec:
                     raise SpecError(f"{head} needs a relation", lineno)
                 try:
                     rel = parse_relation(arg)
-                except WordSyntaxError as exc:
+                except ValueError as exc:  # a syntax error or an over-long power
                     raise SpecError(f"bad relation: {exc}", lineno) from None
+                if rel.length > MAX_RELATOR_LENGTH:
+                    raise SpecError(
+                        f"relation has {rel.length} letters, more than the "
+                        f"{MAX_RELATOR_LENGTH} allowed", lineno,
+                    )
                 stray = rel.symbols() - set(family_generators(block["k"]))
                 if stray:
                     raise SpecError(

@@ -13,6 +13,11 @@ from typing import Iterable
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# The most letters a relator may have.  A power of a word of two or more
+# syllables is refused before it is built past this, and a custom relation
+# past it is a spec error.  Family relators have at most a few dozen letters.
+MAX_RELATOR_LENGTH = 1_000_000
+
 
 def _reduce(syllables: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     # Stack-based free reduction: merging two runs can expose a new
@@ -72,6 +77,11 @@ class Word:
             return Word(((name, exp * n),))
         if n == 0:
             return Word()
+        length = self.length * abs(n)
+        if length > MAX_RELATOR_LENGTH:
+            raise ValueError(
+                f"a power of {length} letters is longer than the {MAX_RELATOR_LENGTH} allowed"
+            )
         base = self if n > 0 else self.inverse()
         return Word(base.syllables * abs(n))
 

@@ -58,48 +58,6 @@ def random_syllables(rng: random.Random, names, count: int):
     return out
 
 
-# ---------------------------------------------------------------- relators
-# A relator is a str of letters: generator i is chr(2i), its inverse chr(2i+1).
-
-
-def letter_inverse(s: str) -> str:
-    """The inverse word: letters reversed, each swapped with its inverse."""
-    return "".join(chr(ord(c) ^ 1) for c in reversed(s))
-
-
-def letter_reduce(s: str) -> str:
-    """Free and cyclic reduction of a letter string, through `cyclic_reduce`."""
-    flat = [(ord(c) >> 1, -1 if ord(c) & 1 else 1) for c in s]
-    return "".join(chr(2 * g + (step < 0)) for g, step in cyclic_reduce(flat))
-
-
-def best_shortening(words: list[str], si: int):
-    """Brute-force best shortening of the relator s = words[si] by another one.
-
-    A source r = words[ri], ri != si, with |r| >= 2 and h = |r|//2 + 1 <= |s|
-    shortens s when some rotation u*v of r or of r^-1, |u| = h, has u at a
-    cyclic position q of s; that occurrence is replaced by v^-1.  Every
-    position, source, variant (0: r, 1: r^-1) and rotation is tried in that
-    nesting order, so the first match found is the least.  Returns
-    (q, ri, variant, rotation, reduced rewritten s), or None.
-    """
-    s = words[si]
-    n = len(s)
-    for q in range(n):
-        for ri, r in enumerate(words):
-            h = len(r) // 2 + 1
-            if ri == si or len(r) < 2 or h > n:
-                continue
-            for variant, base in enumerate((r, letter_inverse(r))):
-                for off in range(len(r)):
-                    rot = base[off:] + base[:off]
-                    if all(s[(q + i) % n] == rot[i] for i in range(h)):
-                        rest = "".join(s[(q + i) % n] for i in range(h, n))
-                        rewritten = letter_reduce(letter_inverse(rot[h:]) + rest)
-                        return q, ri, variant, off, rewritten
-    return None
-
-
 # ---------------------------------------------------------------- cosets
 
 

@@ -70,6 +70,10 @@ def test_custom_block_round_trip():
         ("warp k=2\n", "unknown directive"),
         ("custom k=2\nremove [a,\nend\n", "column"),
         ("custom k=2\nend\n", "no remove/add"),
+        ("custom k=2\nadd [a1,b1]^1000000\nend\n",
+         "line 2: bad relation: a power of 4000000 letters is longer than the 1000000 allowed"),
+        ("custom k=2\nadd a1^10000000\nend\n",
+         "line 2: relation has 10000000 letters, more than the 1000000 allowed"),
         ("custom k=2\nremove [b1,d2]\n", "missing end"),
         ("custom name=x\nremove [b1,d2]\nend\n", "needs k="),
         ("family k=2 n=1 k=3\n", "line 1: family item k= given twice"),
@@ -188,7 +192,7 @@ custom k=2 name=tweak
 end
 limit 20000
 """
-WIDE_SHA256 = "decbe002d459f9c16fe39d43e4cf7989fdd1a1f8b954477811915052e4edb0f1"
+WIDE_SHA256 = "20afe603a4b3b69935969c488c8854d59373448a5b8e74ca0fba36760976cbee"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -505,6 +509,15 @@ def test_custom_block_with_unknown_generator_is_a_usage_error(tmp_path):
     proc = run_cli("--spec", str(spec))
     assert proc.returncode == 2
     assert "line 3: unknown generators ['zz'] for k=2" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_over_long_custom_relation_is_a_usage_error(tmp_path):
+    spec = tmp_path / "run.spec"
+    spec.write_text("custom k=2\n  add [a1,b1]^1000000\nend\n")
+    proc = run_cli("--spec", str(spec), timeout=30)
+    assert proc.returncode == 2
+    assert "line 2: bad relation: a power of 4000000 letters" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from collections import Counter
+import tracemalloc
 
 import pytest
 
@@ -10,23 +10,16 @@ from exotic4.words import Word, commutator, gen, parse_relation
 from exotic4.presentations import (
     Presentation,
     _from_letters,
+    _find_candidate,
     _reduced,
-    _shorten_pass,
     relator_letters,
     tietze_simplify,
 )
 from exotic4.coset import enumerate_cosets
 from exotic4.intlinalg import abelian_invariants
-from exotic4.manifolds import FamilyParams, build_Mkn
+from exotic4.manifolds import FamilyParams, SurgeryMove, apply_schedule, build_Mkn, build_Xk
 
-from _oracles import (
-    best_shortening,
-    cyclic_reduce,
-    flat_letters,
-    letter_inverse,
-    letter_reduce,
-    random_syllables,
-)
+from _oracles import cyclic_reduce, flat_letters, random_syllables
 
 
 def pres(gens, *relator_texts):
@@ -67,7 +60,7 @@ def test_two_killed_generators_collapse_to_nothing():
     result = tietze_simplify(pres(["a", "b"], "a", "b"))
     assert result.presentation.generators == ()
     assert result.presentation.relators == ()
-    assert result.completed
+    assert result.steps == 2
     assert sorted(name for name, *_ in result.eliminations) == ["a", "b"]
 
 
@@ -114,27 +107,43 @@ def test_group_order_invariant_under_simplification():
 
 
 def test_relator_against_relator_shortening():
-    # (ab)^4 shares the majority of (ab)^3: simplification must not grow
-    # the total relator length and must preserve the group.
+    # (ab)^4 shares the majority of (ab)^3, but no relator defines a
+    # generator: elimination leaves the presentation as it is, so it
+    # neither grows the total relator length nor changes the group.
     p = pres(["a", "b"], "a^2", "b^2", "(a*b)^3", "(a*b)^4")
     result = tietze_simplify(p)
-    total_before = sum(r.length for r in p.relators)
-    total_after = sum(r.length for r in result.presentation.relators)
-    assert total_after <= total_before
+    assert result.presentation == p and result.eliminations == ()
     before = enumerate_cosets(p)
     after = enumerate_cosets(result.presentation)
     assert before.completed and after.completed and before.index == after.index == 2
 
 
-def test_shortening_has_no_generator_cap():
-    # Past 127 generators the letters no longer fit one byte each; shortening
-    # must still find (a*b)^4 = a*b against (a*b)^3 when unused generators
-    # widen the alphabet.
-    rels = ("a^2", "b^2", "(a*b)^3", "(a*b)^4")
-    wide = tietze_simplify(pres(["a", "b", *(f"g{i}" for i in range(130))], *rels))
-    narrow = tietze_simplify(pres(["a", "b"], *rels))
-    assert wide.steps == narrow.steps > 0
+def test_elimination_has_no_generator_cap():
+    # Past 127 generators the letters no longer fit one byte each; x, the
+    # last of 133 generators, must still be solved for and substituted
+    # exactly as in the three-generator presentation.
+    rels = ("a^2", "b^2", "(a*b)^3", "x = a*b^-1", "x^3")
+    wide = tietze_simplify(pres(["a", "b", *(f"g{i}" for i in range(130)), "x"], *rels))
+    narrow = tietze_simplify(pres(["a", "b", "x"], *rels))
+    assert [name for name, *_ in narrow.eliminations] == ["x"]
+    assert wide.eliminations == narrow.eliminations
     assert wide.presentation.relators == narrow.presentation.relators
+    assert wide.presentation.generators[:2] == narrow.presentation.generators == ("a", "b")
+
+
+def test_long_relators_cost_linear_memory():
+    # X_2 with `add a1^5000`: simplification reads the long relator once
+    # and keeps no per-relator index of its subwords.
+    move = SurgeryMove("custom", "", "custom", (), (parse_relation("a1^5000"),), None)
+    presentation = apply_schedule(build_Xk(2), (move,)).presentation
+    tracemalloc.start()
+    try:
+        result = tietze_simplify(presentation)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parse_relation("a1^5000") in result.presentation.relators
+    assert peak < 2 << 20, peak
 
 
 def test_without_relator():
@@ -152,24 +161,24 @@ def test_presentations_compare_by_content():
     assert p != pres(["a"], "a^3")
 
 
-# (steps, eliminations, generators, relators) and sha256 of str(presentation)
-# and of the elimination log, one "generator relator replacement" line each.
+# (eliminations, generators, relators) and sha256 of str(presentation) and
+# of the elimination log, one "generator relator replacement" line each.
 PINNED_TIETZE = [
-    ((2, 1), (30, 5, 5, 22),
-     "6f7c1e333a0e29ce5ab5edcf434fbd534f81014bb5cc9b300456da61633d2d7d",
-     "f9818271a60e3074715e6428d188627b84a747189e446f20622e641948f46336"),
-    ((3, 1, 2, 2), (34, 5, 7, 30),
-     "a4aa794d5eb47ac43d1302b163a85ab4078e68b52e76c97ab5fd593541a474ab",
-     "8a9b806235fc2da310e4b41dd1cd3b5390535bec5cd12adf439ceec2c15e9f21"),
-    ((8, 1, 0, 0), (69, 10, 12, 65),
-     "a44e313d2426dc97e9f40e275e586816e39a23508bc563f1076821f3ca49fdc0",
-     "f86e3396db6762262c7032435b8945ba5bf44508187b6dd46795a305a4189d82"),
-    ((8, 1, 0, 1), (73, 11, 11, 64),
-     "571d81caf6d58058096700429b2e2515236894b576c5a217aad46186f1a3f464",
-     "e4f37f783ea616f07672b9e7a5700991a81ab4a0adc95e9f92eccccabb4dbc54"),
-    ((8, 1, 1, 0), (73, 11, 11, 64),
-     "e533677a9fda187fa20a256f9ccd659ee2892d72cedcc853c02e4ff78d2f2455",
-     "03b9ef50ead361299fddf83758697cccc63c44720effb6dde99b9e9af79e9fe8"),
+    ((2, 1), (6, 4, 21),
+     "fd04d07bc5b59855dc95a81171b0bf1c557673f11a5fc01c294859791c4da632",
+     "eae12ed5d91e75f2766d710165fa7947f82b8cda54d7ffe04297f2576076631d"),
+    ((3, 1, 2, 2), (6, 6, 29),
+     "0a721d610916e4e33555dacffdb19b21acb50c60c661a5b47e003d054aa95a1c",
+     "afe65d170332e7042cfdd932b22ec5f658dac3823abea1ab9d674b41025cbbaa"),
+    ((8, 1, 0, 0), (11, 11, 64),
+     "9604802e90c7c110e967961742063432983dd40163356e1fb31eef779b37f88d",
+     "2348d14084596bb93906cc0a8f402194eae5843afa2f84e259ff4c26396bed41"),
+    ((8, 1, 0, 1), (12, 10, 63),
+     "f852131ba353f4e59ef875ed35237bdc9b79f0e18d2761aeb7a645aef7c88c65",
+     "e6322163fafae8c992dea60abbdbe1b671285a135a7d07baa8d6ba7e4e78de86"),
+    ((8, 1, 1, 0), (12, 10, 63),
+     "de1a2b3249f4d4d34daf47090ef17e0c4688fcbf2e5e224f063ed7c24ca6f2d6",
+     "d8b60510d9ab79907e147d4d23b9cbbb289a6968a684ad56fc501511a33015ef"),
 ]
 
 
@@ -180,25 +189,10 @@ PINNED_TIETZE = [
 def test_family_simplification_is_pinned(params, counts, pres_sha, log_sha):
     result = tietze_simplify(build_Mkn(FamilyParams(*params)).presentation)
     out = result.presentation
-    assert result.completed
-    assert (result.steps, len(result.eliminations), len(out.generators),
-            len(out.relators)) == counts
     log = "\n".join(f"{g} {r} {w}" for g, r, w in result.eliminations)
+    assert (len(result.eliminations), len(out.generators), len(out.relators)) == counts
     assert hashlib.sha256(str(out).encode()).hexdigest() == pres_sha
     assert hashlib.sha256(log.encode()).hexdigest() == log_sha
-
-
-def test_budget_stops_exactly_at_its_value():
-    p = build_Mkn(FamilyParams(2, 1)).presentation
-    full = tietze_simplify(p)
-    assert full.steps == 30 and full.completed
-    assert tietze_simplify(p, budget=30) == full
-    for budget in (1, 29):
-        cut = tietze_simplify(p, budget=budget)
-        assert cut.steps == budget and not cut.completed
-    # Budget 29 leaves the last shortening undone.
-    assert sum(r.length for r in tietze_simplify(p, budget=29).presentation.relators) == 304
-    assert sum(r.length for r in full.presentation.relators) == 303
 
 
 def tietze_cases():
@@ -209,116 +203,28 @@ def tietze_cases():
             Word(random_syllables(rng, names, rng.randint(1, 8)))
             for _ in range(rng.randint(len(names) - 1, len(names) + 2))
         )
-        presentation = Presentation(names, relators)
-        yield presentation, 100_000
-        yield presentation, rng.randint(0, 12)
+        yield Presentation(names, relators)
 
 
-# sha256 of one "presentation | elimination log | steps completed" row per
-# tietze_cases() entry, recorded before relator pairs shown unable to shorten
-# each other were skipped.
-TIETZE_FINGERPRINT_SHA256 = "94fba16af973def3813cf42ecf38768e76b5e90c548e14976265a1a00545c782"
+# sha256 of one "presentation | elimination log" row per tietze_cases() entry.
+TIETZE_FINGERPRINT_SHA256 = "cba5e58a0ce18afc0bebc316e90d87828b686d2fad1ce1c41cad4ab6ba4941f9"
 
 
 def test_tietze_fingerprint_is_pinned():
     rows = []
-    cut = rewritten = 0
-    for presentation, budget in tietze_cases():
-        result = tietze_simplify(presentation, budget=budget)
-        cut += not result.completed
-        rewritten += result.steps > len(result.eliminations)
+    eliminating = 0
+    for presentation in tietze_cases():
+        result = tietze_simplify(presentation)
+        eliminating += bool(result.eliminations)
         log = "; ".join(f"{g} {r} {w}" for g, r, w in result.eliminations)
-        rows.append(f"{result.presentation} | {log} | {result.steps} {result.completed}")
+        rows.append(f"{result.presentation} | {log}")
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert cut >= 50 and rewritten >= 50, (cut, rewritten)
+    assert eliminating >= 300, eliminating
     assert digest == TIETZE_FINGERPRINT_SHA256, digest
 
 
-def short_words(rng, count):
-    """`count` reduced words of 1 to 7 letters over two generators; about one
-    in ten repeats an earlier word."""
-    words = []
-    for _ in range(count):
-        w = rng.choice(words) if words and rng.random() < 0.1 else ""
-        while not w:
-            w = letter_reduce("".join(
-                chr(rng.randrange(4)) for _ in range(rng.randint(1, 7))
-            ))
-        words.append(w)
-    return words
-
-
-def test_one_shortening_matches_the_brute_force_oracle():
-    # Short words over two generators: periodic words, windows as long as the
-    # target (h = |s|), sources of length 2 and 3 and equal relators are all
-    # common.  With cap=1 the pass makes exactly the first target's best
-    # rewrite, or none.
-    rng = random.Random(20261019)
-    seen = Counter()
-    for _ in range(3000):
-        words = short_words(rng, rng.randint(2, 3))
-        before = list(words)
-        first = next(
-            ((si, hit) for si in range(len(words))
-             if (hit := best_shortening(words, si)) is not None),
-            None,
-        )
-        rewrites, finished = _shorten_pass(words, letter_inverse, 1, set(), {})
-        if first is None:
-            assert (rewrites, finished, words) == (0, True, before)
-            continue
-        si, (_, ri, _, _, rewritten) = first
-        assert rewrites == 1, before
-        assert words == before[:si] + [rewritten] + before[si + 1:], before
-        r, s = before[ri], before[si]
-        seen["hit"] += 1
-        seen["h == |s|"] += len(r) // 2 + 1 == len(s)
-        seen["|r| <= 3"] += len(r) <= 3
-        seen["equal relators"] += len(set(before)) < len(before)
-        seen["cut"] += not finished
-    assert min(seen.values()) >= 50 and len(seen) == 5, seen
-
-
-def test_clean_strings_are_rescanned_only_against_new_ones():
-    # `clean` strings that the oracle shows cannot shorten one another: the
-    # pass must rewrite exactly as it does with nothing clean, which includes
-    # rewriting a clean target when another relator shortens it.
-    rng = random.Random(20261020)
-    seen = Counter()
-    for _ in range(3000):
-        words = short_words(rng, rng.randint(3, 5))
-        clean = {w for w in words if rng.random() < 0.6}
-        held = [w for w in words if w in clean]
-        if not clean or any(best_shortening(held, j) is not None for j in range(len(held))):
-            continue
-        cap = rng.choice((1, 2, 100))
-        expected = list(words)
-        outcome = _shorten_pass(expected, letter_inverse, cap, set(), {})
-        got = list(words)
-        assert _shorten_pass(got, letter_inverse, cap, clean, {}) == outcome, words
-        assert got == expected, (words, clean)
-        seen["clean"] += 1
-        seen["clean target rewritten"] += any(
-            w in clean and w != e for w, e in zip(words, expected)
-        )
-        seen["cut"] += not outcome[1]
-    assert min(seen.values()) >= 50 and len(seen) == 3, seen
-
-
-def test_completed_simplifications_leave_no_shortening():
-    # The rescan marks and the clean hand-off skip pairs; at the end of a
-    # completed run no pair of the final relators may still shorten, and a
-    # pass that is handed them all as clean builds no windows.
-    completed = 0
-    for presentation, budget in tietze_cases():
-        result = tietze_simplify(presentation, budget=budget)
-        if not result.completed:
-            continue
-        completed += 1
-        words = relator_letters(result.presentation)
-        for si in range(len(words)):
-            assert best_shortening(words, si) is None, (presentation, budget, si)
-        windows = {}
-        assert _shorten_pass(words, letter_inverse, 1, set(words), windows) == (0, True)
-        assert windows == {}
-    assert completed >= 500, completed
+def test_simplification_stops_where_no_relator_defines_a_generator():
+    for presentation in tietze_cases():
+        result = tietze_simplify(presentation)
+        assert _find_candidate(relator_letters(result.presentation)) is None, presentation
+        assert result.steps == len(result.eliminations)

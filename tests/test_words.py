@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from exotic4.words import Word, commutator, gen, parse_relation, relator
+from exotic4.words import MAX_RELATOR_LENGTH, Word, commutator, gen, parse_relation, relator
 from exotic4.words import WordSyntaxError
 
 from _oracles import flat_letters, random_syllables, stack_reduce
@@ -121,6 +121,15 @@ def test_power_of_one_syllable_scales_its_exponent():
     assert peak < 1 << 20
     assert gen("a") ** -3 == Word((("a", -3),))
     assert gen("a") ** 0 == Word()
+
+
+def test_power_past_the_relator_cap_is_refused_before_it_is_built():
+    # [a1,b1]^1000000 used to build four million syllables first.
+    with pytest.raises(ValueError, match="4000000 letters"):
+        parse_relation("[a1,b1]^1000000")
+    with pytest.raises(ValueError, match="longer than"):
+        (a * b) ** -(MAX_RELATOR_LENGTH // 2 + 1)
+    assert (a * b) ** 3 == parse_relation("a*b*a*b*a*b")
 
 
 def test_substitution_rewrites_each_occurrence():
