@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from .coset import DEFAULT_LIMIT, EnumerationOutcome, enumerate_cosets
 from .intlinalg import AbelianInvariants, IntMatrix, abelian_invariants
 from .presentations import Presentation, TietzeResult, tietze_simplify
-from .words import Word, commutator, gen, relator
+from .words import MAX_RELATOR_LENGTH, Word, commutator, gen, relator
 
 
 class ParameterError(ValueError):
@@ -77,34 +77,28 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class CharNumbers:
-    """(e, sigma, b1, b2, b2plus) with the defining identities enforced."""
+    """Euler number e, signature sigma and first Betti number b1 of a closed
+    oriented 4-manifold.  b2 and b2plus follow from them through
+    e = 2 - 2*b1 + b2 and b2plus = (b2 + sigma)/2; a triple that makes either
+    negative, or b2 + sigma odd, is refused."""
 
     e: int
     sigma: int
     b1: int
-    b2: int
-    b2plus: int
 
     def __post_init__(self):
         if self.b1 < 0 or self.b2 < 0 or self.b2plus < 0:
             raise ValueError("betti numbers must be nonnegative")
-        if self.e != 2 - 2 * self.b1 + self.b2:
-            raise ValueError(
-                f"e = 2 - 2*b1 + b2 violated: e={self.e}, b1={self.b1}, b2={self.b2}"
-            )
-        if (self.b2 + self.sigma) % 2 != 0 or self.b2plus != (self.b2 + self.sigma) // 2:
-            raise ValueError(
-                f"b2plus = (b2 + sigma)/2 violated: b2={self.b2}, sigma={self.sigma}, "
-                f"b2plus={self.b2plus}"
-            )
+        if (self.b2 + self.sigma) % 2 != 0:
+            raise ValueError(f"b2 + sigma = {self.b2 + self.sigma} is odd; no integer b2plus")
 
-    @classmethod
-    def from_e_sigma_b1(cls, e: int, sigma: int, b1: int) -> "CharNumbers":
-        """Fill in b2 and b2plus from the closed-oriented identities."""
-        b2 = e - 2 + 2 * b1
-        if (b2 + sigma) % 2 != 0:
-            raise ValueError(f"b2 + sigma = {b2 + sigma} is odd; no integer b2plus")
-        return cls(e, sigma, b1, b2, (b2 + sigma) // 2)
+    @property
+    def b2(self) -> int:
+        return self.e - 2 + 2 * self.b1
+
+    @property
+    def b2plus(self) -> int:
+        return (self.b2 + self.sigma) // 2
 
 
 @dataclass(frozen=True)
@@ -113,17 +107,16 @@ class SurgeryMove:
 
     Removes `removed_relations` from the presentation (each must be present
     verbatim as a freely reduced relator) and inserts `added_relations` in
-    their place.  `symplectic` is True for moves that preserve a symplectic
-    structure (coefficient -1/q with q >= 1, or -n with n = 1), False when
-    the move is known not to, and None when unknown (custom moves).
+    their place.  `torus_label` names the surgery torus and `coefficient` the
+    surgery coefficient ("-1", "-n", "-1/p", "-1/r", or "custom").  The
+    surgery curve of a family move is the last generator of its added
+    relation (for the -1/p and -1/r moves, when p, r >= 1).
     """
 
     torus_label: str
-    surgery_curve: str
     coefficient: str
     removed_relations: tuple[Word, ...]
     added_relations: tuple[Word, ...]
-    symplectic: bool | None
 
 
 @dataclass(frozen=True)
@@ -133,8 +126,10 @@ class ManifoldModel:
     `form_basis` lists labeled geometrically-dual pairs; `form` is the
     pairing matrix in that basis (one hyperbolic block per pair) or an
     abstract representative when no labeled basis is attached.
-    `h1` is the abelianization of `presentation`.  `certifications` records
-    which machine checks have succeeded; verdicts attach certificates via a
+    `h1` is the abelianization of `presentation`.  `symplectic_flag` is a
+    recorded input (True, False, or None when unknown), set by the builders
+    of X_k, Z_k and the family members.  `certifications` records which
+    machine checks have succeeded; verdicts attach certificates via a
     rebuild, never mutation.
     """
 
@@ -145,7 +140,6 @@ class ManifoldModel:
     h1: AbelianInvariants
     form_basis: tuple[tuple[str, str], ...] = ()
     form: IntMatrix | None = None
-    sw_profile: tuple[int, int, int] | None = None
     symplectic_flag: bool | None = None
     certifications: frozenset = frozenset()
     notes: tuple[str, ...] = ()
@@ -160,6 +154,14 @@ class ManifoldModel:
 
     def certified(self, *certs: str) -> bool:
         return all(c in self.certifications for c in certs)
+
+    @property
+    def sw_profile(self) -> tuple[int, int, int] | None:
+        """The Seiberg-Witten context (k, n, m) of a family model with a form
+        attached; None otherwise."""
+        if self.params is None or self.form is None:
+            return None
+        return (self.params.k, self.params.n, self.params.m)
 
 
 def hyperbolic_form(blocks: int) -> IntMatrix:
@@ -253,50 +255,50 @@ def schedule_Mkn(params: FamilyParams) -> tuple[SurgeryMove, ...]:
     ct, dk1 = gen("ct"), gen(f"d{k + 1}")
     c1, d1 = gen("c1"), gen("d1")
 
-    def move(torus, curve, coeff, pre, post, symplectic):
-        return SurgeryMove(torus, curve, coeff, (pre,), (post,), symplectic)
+    def move(torus, coeff, pre, post):
+        return SurgeryMove(torus, coeff, (pre,), (post,))
 
     moves = [
-        move("a1' x c1'", "a1", "-1",
+        move("a1' x c1'", "-1",
              commutator(b1.inverse(), d1.inverse()),
-             relator(commutator(b1.inverse(), d1.inverse()), a1), True),
-        move("b1' x c1''", "b1", "-1",
+             relator(commutator(b1.inverse(), d1.inverse()), a1)),
+        move("b1' x c1''", "-1",
              commutator(a1.inverse(), d1),
-             relator(commutator(a1.inverse(), d1), b1), True),
-        move("a2' x c1'", "c1", "-1",
+             relator(commutator(a1.inverse(), d1), b1)),
+        move("a2' x c1'", "-1",
              commutator(b2.inverse(), d1.inverse()),
-             relator(commutator(b2.inverse(), d1.inverse()), c1), True),
-        move("a2'' x d1'", "d1", "-n",
+             relator(commutator(b2.inverse(), d1.inverse()), c1)),
+        move("a2'' x d1'", "-n",
              commutator(b2, c1.inverse()),
-             relator(commutator(b2, c1.inverse()) ** n, d1), n == 1),
+             relator(commutator(b2, c1.inverse()) ** n, d1)),
     ]
     if k >= 2:
         c2, d2 = gen("c2"), gen("d2")
         moves += [
-            move("a2' x c2'", "c2", "-1/p",
+            move("a2' x c2'", "-1/p",
                  commutator(b2.inverse(), d2.inverse()),
-                 relator(commutator(b2.inverse(), d2.inverse()), c2 ** p), p >= 1),
-            move("a2'' x d2'", "d2", "-1/r",
+                 relator(commutator(b2.inverse(), d2.inverse()), c2 ** p)),
+            move("a2'' x d2'", "-1/r",
                  commutator(b2, c2.inverse()),
-                 relator(commutator(b2, c2.inverse()), d2 ** r), r >= 1),
+                 relator(commutator(b2, c2.inverse()), d2 ** r)),
         ]
     for j in range(3, k + 1):
         cj, dj = gen(f"c{j}"), gen(f"d{j}")
         moves += [
-            move(f"a2' x c{j}'", f"c{j}", "-1",
+            move(f"a2' x c{j}'", "-1",
                  commutator(b2.inverse(), dj.inverse()),
-                 relator(commutator(b2.inverse(), dj.inverse()), cj), True),
-            move(f"a2'' x d{j}'", f"d{j}", "-1",
+                 relator(commutator(b2.inverse(), dj.inverse()), cj)),
+            move(f"a2'' x d{j}'", "-1",
                  commutator(b2, cj.inverse()),
-                 relator(commutator(b2, cj.inverse()), dj), True),
+                 relator(commutator(b2, cj.inverse()), dj)),
         ]
     moves += [
-        move(f"b1'' x d{k + 1}'", f"d{k + 1}", "-1",
+        move(f"b1'' x d{k + 1}'", "-1",
              ct.inverse() * a1 * a2 * ct * a1.inverse() * a2.inverse(),
-             relator(ct.inverse() * a1 * a2 * ct * a1.inverse() * a2.inverse(), dk1), True),
-        move("(b1~ b2~) x ct'", "ct", "-1",
+             relator(ct.inverse() * a1 * a2 * ct * a1.inverse() * a2.inverse(), dk1)),
+        move("(b1~ b2~) x ct'", "-1",
              commutator(a1, dk1.inverse()),
-             relator(commutator(a1, dk1.inverse()), ct), True),
+             relator(commutator(a1, dk1.inverse()), ct)),
     ]
     return tuple(moves)
 
@@ -346,7 +348,7 @@ def build_Xk(k: int) -> ManifoldModel:
     relators = _common_relators(k) + pre + _surface_relators(k)
     presentation = Presentation(family_generators(k), relators)
     h1 = abelian_invariants(presentation)
-    char = CharNumbers(4 * k, 0, 2 * k + 4, 8 * k + 6, 4 * k + 3)
+    char = CharNumbers(4 * k, 0, 2 * k + 4)
     basis = _xk_basis(k)
     return ManifoldModel(
         name=f"X_{k}",
@@ -356,9 +358,7 @@ def build_Xk(k: int) -> ManifoldModel:
         h1=h1,
         form_basis=basis,
         form=hyperbolic_form(len(basis)),
-        sw_profile=None,
         symplectic_flag=True,
-        notes=("minimal complex surface of general type; symplectic",),
     )
 
 
@@ -366,15 +366,21 @@ def apply_schedule(base: ManifoldModel, moves, *, name: str | None = None) -> Ma
     """Apply surgery moves as in-place relation swaps and redo the bookkeeping.
 
     Torus surgery preserves e and sigma (axiom recorded in reports); H1 and b1
-    are recomputed from the abelianization of the rewritten presentation and
-    b2 from e = 2 - 2*b1 + b2.  The result keeps the base's symplectic flag
-    when every move is symplectic (None otherwise), drops X_k's
-    complex-surface note, and carries no family parameters, form basis or
-    Seiberg-Witten profile: `build_Mkn` attaches those for family members.
-    The default name is "<base name>/surgered".
+    are recomputed from the abelianization of the rewritten presentation.  A
+    move that adds a relation of more than MAX_RELATOR_LENGTH letters is
+    refused with a ValueError naming the move and the cap, before the
+    presentation is rewritten.  The result carries no family parameters,
+    form basis, symplectic flag or notes: `build_Mkn` and `build_Zk` attach
+    those.  The default name is "<base name>/surgered".
     """
     relators = list(base.presentation.relators)
     for mv in moves:
+        for rel in mv.added_relations:
+            if rel.length > MAX_RELATOR_LENGTH:
+                raise ValueError(
+                    f"move {mv.torus_label!r} adds a relation of {rel.length} letters, "
+                    f"more than the {MAX_RELATOR_LENGTH} allowed"
+                )
         slot = None
         for rel in mv.removed_relations:
             try:
@@ -391,17 +397,12 @@ def apply_schedule(base: ManifoldModel, moves, *, name: str | None = None) -> Ma
             relators[slot:slot] = mv.added_relations
     presentation = Presentation(base.presentation.generators, relators)
     h1 = abelian_invariants(presentation)
-    symplectic = (
-        base.symplectic_flag if all(mv.symplectic is True for mv in moves) else None
-    )
     return ManifoldModel(
         name=f"{base.name}/surgered" if name is None else name,
         params=None,
         presentation=presentation,
-        char=CharNumbers.from_e_sigma_b1(base.char.e, base.char.sigma, h1.free_rank),
+        char=CharNumbers(base.char.e, base.char.sigma, h1.free_rank),
         h1=h1,
-        symplectic_flag=symplectic,
-        notes=tuple(n for n in base.notes if not n.startswith("minimal complex surface")),
     )
 
 
@@ -410,35 +411,33 @@ def build_Mkn(params: FamilyParams) -> ManifoldModel:
     with m = 1 (the multiplicity-m transform is `apply_log_transform`).
 
     On top of `apply_schedule` it attaches the family fields: `params` with
-    m = 1; the symplectic flag n == 1 (n = 1 keeps the symplectic structure
-    for every (p, r), n >= 2 provably destroys it through its basic-class
-    count); the k = 1 note; and, when p = r = 1 and H1 is trivial, the
-    labeled (2k-1)-pair basis with its hyperbolic form and the
-    Seiberg-Witten profile (k, n, 1).  Full pi1 certification is still
-    enumeration's job.
+    m = 1; the symplectic flag n == 1, the one owner of the family's flag
+    (n = 1 keeps the symplectic structure for every (p, r), n >= 2 provably
+    destroys it through its basic-class count); the k = 1 note; and, when
+    p = r = 1 and H1 is trivial, the labeled (2k-1)-pair basis with its
+    hyperbolic form, which makes `sw_profile` (k, n, 1).  Full pi1
+    certification is still enumeration's job.
     """
     params = replace(params, m=1)
     model = apply_schedule(build_Xk(params.k), schedule_Mkn(params), name=params.name)
-    notes = model.notes
+    notes = ()
     if params.k == 1:
-        notes += ("k=1: pi1 and classification claims are not certified; "
-                  "the surgered relation list is modeled for k >= 2 only",)
+        notes = ("k=1: pi1 and classification claims are not certified; "
+                 "the surgered relation list is modeled for k >= 2 only",)
     model = replace(model, params=params, symplectic_flag=params.n == 1, notes=notes)
     if params.p == 1 and params.r == 1 and model.h1.trivial:
         basis = _mkn_basis(params.k)
-        model = replace(
-            model,
-            form_basis=basis,
-            form=hyperbolic_form(len(basis)),
-            sw_profile=(params.k, params.n, 1),
-        )
+        model = replace(model, form_basis=basis, form=hyperbolic_form(len(basis)))
     return model
 
 
 def build_Zk(k: int) -> ManifoldModel:
-    """The schedule minus its single -n move: b1 = 1, b2 = 4k, b2plus = 2k."""
+    """The schedule minus its single -n move: b1 = 1, b2 = 4k, b2plus = 2k.
+
+    Every remaining move has coefficient -1 (p = r = 1), so Z_k is
+    symplectic; its flag is stated True, not computed."""
     moves = [mv for mv in schedule_Mkn(FamilyParams(k, 1, 1, 1)) if mv.coefficient != "-n"]
-    return apply_schedule(build_Xk(k), moves, name=f"Z_{k}")
+    return replace(apply_schedule(build_Xk(k), moves, name=f"Z_{k}"), symplectic_flag=True)
 
 
 def claimed_invariants(p: int, r: int) -> AbelianInvariants:
@@ -461,8 +460,11 @@ class Pi1Verdict:
     "as-built" for the model's own, "complement" when a torus-complement
     certificate whose group maps onto pi1 proved that group trivial, and None
     when nothing was enumerated.  `simplification` carries the
-    generator-elimination evidence.  `certifies_trivial` is True exactly when
-    the enumeration completed with index 1.
+    generator-elimination evidence.  The rest is read off these fields:
+    `expected_index` is the claimed group's order, `passed` needs the H1
+    check and, when something was enumerated, a completed enumeration with
+    that index, and `certifies_trivial` is True exactly when the enumeration
+    completed with index 1.
     """
 
     claimed: AbelianInvariants
@@ -470,9 +472,21 @@ class Pi1Verdict:
     simplification: TietzeResult
     enumeration: EnumerationOutcome | None
     enumerated: str | None
-    expected_index: int | None
-    passed: bool
-    certifies_trivial: bool
+
+    @property
+    def expected_index(self) -> int | None:
+        return self.claimed.order
+
+    @property
+    def passed(self) -> bool:
+        e = self.enumeration
+        return self.h1_check and (
+            e is None or (e.completed and e.index == self.expected_index)
+        )
+
+    @property
+    def certifies_trivial(self) -> bool:
+        return self.enumeration is not None and self.enumeration.index == 1
 
 
 def verify_pi1(
@@ -503,35 +517,16 @@ def verify_pi1(
         raise ParameterError("pi1 claims are certified for k >= 2 only")
     if complement is not None:
         _check_quotient(complement.presentation, model.presentation)
-    p, r = model.params.p, model.params.r
-    claimed = claimed_invariants(p, r)
-    h1_check = model.h1 == claimed
+    claimed = claimed_invariants(model.params.p, model.params.r)
     simplification = tietze_simplify(model.presentation)
-    enumeration = None
-    enumerated = None
-    expected = claimed.order
-    if expected is not None:
+    enumeration = enumerated = None
+    if claimed.order is not None:
         if complement is not None and complement.passed:
             enumeration, enumerated = complement.enumeration, "complement"
         else:
             enumeration = enumerate_cosets(model.presentation, limit=limit)
             enumerated = "as-built"
-    enum_ok = enumeration is None or (
-        enumeration.completed and enumeration.index == expected
-    )
-    certifies_trivial = (
-        enumeration is not None and enumeration.completed and enumeration.index == 1
-    )
-    return Pi1Verdict(
-        claimed=claimed,
-        h1_check=h1_check,
-        simplification=simplification,
-        enumeration=enumeration,
-        enumerated=enumerated,
-        expected_index=expected,
-        passed=h1_check and enum_ok,
-        certifies_trivial=certifies_trivial,
-    )
+    return Pi1Verdict(claimed, model.h1 == claimed, simplification, enumeration, enumerated)
 
 
 def _check_quotient(source: Presentation, target: Presentation) -> None:
@@ -582,11 +577,15 @@ def complement_presentation(model: ManifoldModel) -> Presentation:
 
 @dataclass(frozen=True)
 class ComplementVerdict:
-    """The torus-complement enumeration and the presentation it ran on."""
+    """The torus-complement enumeration and the presentation it ran on.  It
+    passed exactly when the enumeration completed with index 1."""
 
     presentation: Presentation
     enumeration: EnumerationOutcome
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.enumeration.index == 1
 
 
 def verify_complement(
@@ -594,8 +593,7 @@ def verify_complement(
 ) -> ComplementVerdict:
     """Certify that the torus complement is simply connected."""
     pres = complement_presentation(model)
-    outcome = enumerate_cosets(pres, limit=limit)
-    return ComplementVerdict(pres, outcome, outcome.completed and outcome.index == 1)
+    return ComplementVerdict(pres, enumerate_cosets(pres, limit=limit))
 
 
 def with_complement_certificate(
@@ -644,7 +642,6 @@ def apply_log_transform(model: ManifoldModel, m: int) -> ManifoldModel:
         h1=AbelianInvariants((), 0),
         form_basis=(),
         form=form,
-        sw_profile=(params.k, params.n, m),
         certifications=frozenset({PI1_TRIVIAL}),
         notes=model.notes
         + (

@@ -420,7 +420,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             "reason": "k=1: claims are modeled but not certified",
         }
 
-    if comp is not None and model.certified(PI1_TRIVIAL):
+    if comp is not None:
         model = with_complement_certificate(model, comp)
         verdicts["complement"] = {
             "status": "pass" if comp.passed else "fail",
@@ -429,7 +429,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
     else:
         verdicts["complement"] = {
             "status": "not-applicable",
-            "reason": "needs k >= 2, p = r = 1 and a pi1 certificate",
+            "reason": "needs k >= 2 and p = r = 1",
         }
 
     if params.m >= 2:
@@ -513,11 +513,9 @@ def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
         base = build_Xk(custom.k)
         move = SurgeryMove(
             torus_label="custom",
-            surgery_curve="",
             coefficient="custom",
             removed_relations=custom.removed,
             added_relations=custom.added,
-            symplectic=None,
         )
         model = apply_schedule(base, (move,), name=custom.name)
     except (ParameterError, ScheduleMismatchError) as exc:

@@ -192,7 +192,7 @@ custom k=2 name=tweak
 end
 limit 20000
 """
-WIDE_SHA256 = "20afe603a4b3b69935969c488c8854d59373448a5b8e74ca0fba36760976cbee"
+WIDE_SHA256 = "8370d9031ee67bfb95ade332f51c6b4a52d8432e2f61a3b571a2bf27035e1497"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

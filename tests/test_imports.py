@@ -1,7 +1,8 @@
 """Every name a module of the package or of its tests imports is used by that
-module, every parameter of a package function is read by its body, and every
+module, every parameter of a package function is read by its body, every
 function, method and class the package defines is referenced from the package
-or the benchmark harness."""
+or the benchmark harness, and every field of a package dataclass is read
+there as an attribute."""
 
 import ast
 from pathlib import Path
@@ -169,4 +170,69 @@ def test_scan_finds_an_unreferenced_definition():
     others = ["from a import A\nWRAPS = [('a', 'A.wrapped', 'group')]\nprint('not unused')\n"]
     assert unreferenced_definitions(package, others) == [
         "a.py: orphan (line 12)", "a.py: unused (line 10)",
+    ]
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def unread_fields(package: dict[str, str], others: list[str]) -> list[str]:
+    """Fields of the dataclasses defined in the `package` sources, by module
+    name, that no package or `others` source reads as an attribute."""
+    read = {
+        node.attr
+        for source in [*package.values(), *others]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}: {cls.name}.{stmt.target.id} (line {stmt.lineno})"
+        for module, source in package.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+
+
+# Fields the pipeline does not read.  U and V make the Smith normal form a
+# checkable certificate D = U*M*V, which the acceptance suite (criterion 3)
+# checks.
+UNREAD_BY_THE_PIPELINE = ["intlinalg.py: SmithNormalForm.u", "intlinalg.py: SmithNormalForm.v"]
+
+
+def test_every_dataclass_field_is_read():
+    """Tests do not count as readers: a field only a test reads is a fact
+    nothing derives from, unless UNREAD_BY_THE_PIPELINE names it."""
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    unread = unread_fields(package, others)
+    assert [entry.partition(" (line")[0] for entry in unread] == UNREAD_BY_THE_PIPELINE
+
+
+def test_scan_finds_an_unread_field():
+    package = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class A:\n"
+            "    kept: int\n"
+            "    written: int\n"
+            "    unread: int = 0\n"
+            "@dataclass\n"
+            "class B:\n"
+            "    other: int\n"
+            "class Plain:\n"
+            "    ignored: int\n"
+            "def f(a, b):\n"
+            "    b.written = a.kept\n"
+        ),
+    }
+    others = ["def g(b):\n    return b.other\n"]
+    assert unread_fields(package, others) == [
+        "a.py: A.written (line 5)", "a.py: A.unread (line 6)",
     ]

@@ -8,15 +8,16 @@ from dataclasses import asdict, replace
 import pytest
 
 from exotic4 import manifolds, report
-from exotic4.coset import Completed, LimitExceeded
+from exotic4.coset import Completed, EnumerationOutcome, LimitExceeded
 from exotic4.presentations import Presentation
-from exotic4.words import commutator, gen
+from exotic4.words import MAX_RELATOR_LENGTH, commutator, gen
 from exotic4.intlinalg import AbelianInvariants, abelian_invariants, classify_form
 from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
     PI1_TRIVIAL,
     CertificateError,
     CharNumbers,
+    ComplementVerdict,
     FamilyParams,
     ParameterError,
     ScheduleMismatchError,
@@ -31,6 +32,7 @@ from exotic4.manifolds import (
     schedule_Mkn,
     verify_complement,
     verify_pi1,
+    with_complement_certificate,
 )
 
 
@@ -59,13 +61,12 @@ def test_family_params_validation_names_the_constraint():
 
 
 def test_char_numbers_enforce_their_relations():
-    CharNumbers(8, 0, 0, 6, 3)  # consistent
-    with pytest.raises(ValueError):
-        CharNumbers(8, 0, 0, 6, 4)  # b2plus != (b2 + sigma) / 2
-    with pytest.raises(ValueError):
-        CharNumbers(8, 0, 1, 6, 3)  # e != 2 - 2 b1 + b2
-    c = CharNumbers.from_e_sigma_b1(8, 0, 0)
+    c = CharNumbers(8, 0, 0)
     assert (c.b2, c.b2plus) == (6, 3)
+    with pytest.raises(ValueError, match="odd"):
+        CharNumbers(8, 1, 0)  # b2 + sigma = 7 has no integer half
+    with pytest.raises(ValueError, match="nonnegative"):
+        CharNumbers(0, 0, 0)  # b2 = -2
 
 
 # ---------------------------------------------------------------- base model
@@ -122,7 +123,7 @@ def test_schedule_coefficients_for_genus_two():
     assert [mv.coefficient for mv in sched] == [
         "-1", "-1", "-1", "-n", "-1/p", "-1/r", "-1", "-1",
     ]
-    assert [mv.surgery_curve for mv in sched] == [
+    assert [mv.added_relations[0].syllables[-1][0] for mv in sched] == [
         "a1", "b1", "c1", "d1", "c2", "d2", "d3", "ct",
     ]
 
@@ -131,14 +132,6 @@ def test_small_genus_schedule_skips_order_moves():
     sched = schedule_Mkn(FamilyParams(1, 1))
     assert len(sched) == 6
     assert all(mv.coefficient in ("-1", "-n") for mv in sched)
-
-
-def test_move_symplectic_flags_follow_the_coefficients():
-    always = schedule_Mkn(FamilyParams(2, 1, 1, 1))
-    assert all(mv.symplectic for mv in always)
-    twisted = schedule_Mkn(FamilyParams(2, 2, 0, 1))
-    flags = [mv.symplectic for mv in twisted]
-    assert flags == [True, True, True, False, False, True, True, True]
 
 
 def test_apply_schedule_swaps_relations_in_place():
@@ -161,11 +154,9 @@ def test_apply_schedule_then_inverse_restores_homology():
     inverse = [
         SurgeryMove(
             torus_label=mv.torus_label,
-            surgery_curve=mv.surgery_curve,
             coefficient="undo",
             removed_relations=mv.added_relations,
             added_relations=mv.removed_relations,
-            symplectic=None,
         )
         for mv in reversed(sched)
     ]
@@ -186,14 +177,21 @@ def test_schedule_mismatch_is_reported_with_the_move():
     base = build_Xk(2)
     bogus = SurgeryMove(
         torus_label="phantom",
-        surgery_curve="a1",
         coefficient="-1",
         removed_relations=(gen("a1") ** 7,),
         added_relations=(gen("a1"),),
-        symplectic=None,
     )
     with pytest.raises(ScheduleMismatchError, match="phantom"):
         apply_schedule(base, (bogus,))
+
+
+def test_an_over_long_family_relation_fails_its_record_at_once():
+    # The -1/p move adds [b2^-1, d2^-1] c2^-p, 4 + p letters: past the cap
+    # for p = MAX_RELATOR_LENGTH, so the record fails before X_k is surgered.
+    record = report._record(FamilyParams(2, 1, MAX_RELATOR_LENGTH, 1), 100)
+    assert record["passed"] is False
+    assert record["error"].startswith("ValueError: move \"a2' x c2'\"")
+    assert f"more than the {MAX_RELATOR_LENGTH} allowed" in record["error"]
 
 
 def test_surgery_preserves_euler_number_and_signature():
@@ -219,7 +217,7 @@ def test_first_homology_follows_the_order_parameters(p, r):
 
 def test_every_model_carries_the_abelianization_of_its_presentation():
     tweak = commutator(gen("b1"), gen("d3"))
-    custom = SurgeryMove("custom", "", "custom", (tweak,), (tweak ** 2,), None)
+    custom = SurgeryMove("custom", "custom", (tweak,), (tweak ** 2,))
     models = [
         *(build_Xk(k) for k in (1, 2, 3)),
         *(build_Mkn(FamilyParams(*t))
@@ -277,6 +275,7 @@ def test_intermediate_model_bookkeeping():
         assert z.char.b2 == 4 * k
         assert z.char.b2plus == 2 * k
         assert z.h1.free_rank == 1
+        assert z.symplectic_flag is True
 
 
 def test_small_genus_models_carry_an_unverified_note():
@@ -289,7 +288,9 @@ def test_small_genus_models_carry_an_unverified_note():
 def test_symplectic_flag_tracks_the_twist_parameter():
     assert build_Mkn(FamilyParams(2, 1)).symplectic_flag is True
     assert build_Mkn(FamilyParams(2, 1, 2, 3)).symplectic_flag is True
+    assert build_Mkn(FamilyParams(2, 1, 0, 1)).symplectic_flag is True
     assert build_Mkn(FamilyParams(2, 2)).symplectic_flag is False
+    assert build_Mkn(FamilyParams(2, 2, 0, 1)).symplectic_flag is False
     # a custom schedule with no family parameters has unknown status
     base = build_Xk(2)
     mv = schedule_Mkn(FamilyParams(2, 2))[3]
@@ -334,11 +335,13 @@ def test_models_and_verdicts_copy_and_pickle():
     assert asdict(verdict)["simplification"]["presentation"] == verdict.simplification.presentation
 
 
-def test_collapse_threshold_of_the_base_family_model():
-    # M(2,1) pi1 collapses to one coset at limit 51,130 but not at 51,129.
-    # Its complement collapses from 43,983 on, except in windows such as
-    # 47,000: the threshold is not monotone in the limit.
-    # Rows are (definitions, coincidences, max_live, lookahead passes).
+# M(2,1) pi1 collapses to one coset at limit 51,130 but not at 51,129.
+# Its complement collapses from 43,983 on, except in windows such as 47,000:
+# the threshold is not monotone in the limit.  Rows are (definitions,
+# coincidences, max_live, lookahead passes).
+@pytest.fixture(scope="module")
+def threshold_outcomes():
+    """(verify, limit, expected result, expected counts, outcome) rows."""
     model = build_Mkn(FamilyParams(2, 1))
     cases = [
         (verify_pi1, 51_129, LimitExceeded(51_129), (65_604, 14_476, 51_129, 7)),
@@ -350,11 +353,29 @@ def test_collapse_threshold_of_the_base_family_model():
         (verify_complement, 51_129, Completed(1), (123_028, 123_028, 51_129, 9)),
         (verify_complement, 60_000, Completed(1), (133_471, 133_471, 60_000, 7)),
     ]
-    for verify, limit, result, counts in cases:
-        outcome = verify(model, limit=limit).enumeration
+    return [
+        (verify, limit, result, counts, verify(model, limit=limit).enumeration)
+        for verify, limit, result, counts in cases
+    ]
+
+
+def test_collapse_threshold_of_the_base_family_model(threshold_outcomes):
+    for verify, limit, result, counts, outcome in threshold_outcomes:
         s = outcome.stats
         assert outcome.result == result, (verify.__name__, limit)
         assert (s.definitions, s.coincidences, s.max_live, s.lookahead_passes) == counts
+
+
+def test_a_complement_passes_exactly_when_its_enumeration_collapses(threshold_outcomes):
+    # The verdict and the certificate read one fact: Completed(1).
+    model = build_Mkn(FamilyParams(2, 1))
+    pres = complement_presentation(model)
+    for *_, outcome in threshold_outcomes:
+        verdict = ComplementVerdict(pres, outcome)
+        collapsed = outcome.result == Completed(1)
+        assert verdict.passed is collapsed
+        certified_model = with_complement_certificate(model, verdict)
+        assert (COMPLEMENT_TRIVIAL in certified_model.certifications) is collapsed
 
 
 def counting_enumerations(monkeypatch):
@@ -407,8 +428,8 @@ def test_complement_certificate_below_the_pi1_threshold(monkeypatch):
 
 
 def test_failed_complement_falls_back_to_the_direct_pi1_run(monkeypatch):
-    # At 47,000 neither presentation collapses: the record is the direct pi1
-    # run's failure, the complement is not applicable, and both ran.
+    # At 47,000 neither presentation collapses: both ran, and the record
+    # reports both failures with their counters.
     calls = counting_enumerations(monkeypatch)
     model = build_Mkn(FamilyParams(2, 1))
     record = report.run_family_model(FamilyParams(2, 1), 47_000)
@@ -420,25 +441,29 @@ def test_failed_complement_falls_back_to_the_direct_pi1_run(monkeypatch):
         "result": "limit-exceeded", "cosets_used": 47_000,
         "definitions": 61_226, "coincidences": 14_227, "max_live": 47_000,
     }
-    assert record["verdicts"]["complement"]["status"] == "not-applicable"
-    # The same bytes as when pi1 was always enumerated first, but for the
-    # Tietze counts, which come from generator elimination alone.
+    assert record["verdicts"]["complement"] == {
+        "status": "fail",
+        "enumeration": {
+            "result": "limit-exceeded", "cosets_used": 47_000,
+            "definitions": 60_567, "coincidences": 13_568, "max_live": 47_000,
+        },
+    }
     digest = hashlib.sha256(report.render_json(record).encode()).hexdigest()
-    assert digest == "6079bffcb3ea33ef93347b47a0db3047eb18aecf084b73f669caa777013c960d"
+    assert digest == "320efcd901fea020a01335a8f471db550519e4f21a26aabc0adea2cafd063540"
 
 
 def test_pi1_refuses_a_certificate_that_is_not_a_quotient():
     model = build_Mkn(FamilyParams(2, 1))
     comp = verify_complement(model, limit=100)
     assert not comp.passed
-    pres = comp.presentation
+    pres, stats = comp.presentation, comp.enumeration.stats
     extra = Presentation(pres.generators, pres.relators + (gen("c1") * gen("d1"),))
     renamed = Presentation(
         ("x1",) + pres.generators[1:],
         [r.substitute("a1", gen("x1")) for r in pres.relators],
     )
     for bad in (extra, renamed):
-        forged = replace(comp, presentation=bad, passed=True)
+        forged = ComplementVerdict(bad, EnumerationOutcome(Completed(1), stats))
         with pytest.raises(CertificateError, match="are not the model's"):
             verify_pi1(model, limit=100, complement=forged)
 

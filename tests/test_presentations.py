@@ -134,7 +134,7 @@ def test_elimination_has_no_generator_cap():
 def test_long_relators_cost_linear_memory():
     # X_2 with `add a1^5000`: simplification reads the long relator once
     # and keeps no per-relator index of its subwords.
-    move = SurgeryMove("custom", "", "custom", (), (parse_relation("a1^5000"),), None)
+    move = SurgeryMove("custom", "custom", (), (parse_relation("a1^5000"),))
     presentation = apply_schedule(build_Xk(2), (move,)).presentation
     tracemalloc.start()
     try:
