@@ -1,6 +1,10 @@
 """Exact integer matrix routines: Smith normal form, abelian invariants,
 and symmetric form classification.
 
+The Smith normal form gives H1 its invariant factors and tells
+`classify_form` whether a form is unimodular; a congruence reduction gives
+a form's signature and rank.
+
 Everything is arbitrary-precision integer arithmetic on plain Python ints;
 no floating point enters any verdict.
 """
@@ -63,33 +67,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r})"
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -297,25 +274,26 @@ def signature_and_rank(m: IntMatrix) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FormType:
-    """Classification of a symmetric unimodular form.
+    """Classification of a symmetric integer form by the four facts the
+    homeomorphism step reads: kind, rank, signature and parity.
 
-    kind is "hyperbolic" (even, signature 0: m copies of the rank-2 block),
-    "odd" (diagonalizable over Z as b_plus <1> + b_minus <-1>), or "other"
-    (anything else, described by rank, signature and parity alone)."""
+    kind is "hyperbolic" (unimodular, even, signature 0: rank/2 copies of
+    the rank-2 block), "odd" (unimodular and odd, so diagonalizable over Z
+    with (rank + signature)/2 entries <1> and (rank - signature)/2 entries
+    <-1>), or "other" (anything else, described by rank, signature and parity
+    alone).  `str` is the one place the "nH" and "a<1> + b<-1>" formats live."""
 
     kind: str
     rank: int
     signature: int
     parity: str
-    hyperbolic_blocks: int | None = None
-    b_plus: int | None = None
-    b_minus: int | None = None
 
     def __str__(self) -> str:
         if self.kind == "hyperbolic":
-            return f"{self.hyperbolic_blocks}H"
+            return f"{self.rank // 2}H"
         if self.kind == "odd":
-            return f"{self.b_plus}<1> + {self.b_minus}<-1>"
+            plus, minus = (self.rank + self.signature) // 2, (self.rank - self.signature) // 2
+            return f"{plus}<1> + {minus}<-1>"
         return f"other(rank {self.rank}, signature {self.signature}, {self.parity})"
 
 
@@ -323,20 +301,21 @@ def classify_form(m: IntMatrix) -> FormType:
     """Classify a symmetric integer matrix as an intersection form.
 
     Parity is basis-invariant: the form is even iff every diagonal entry is
-    even.  Indefinite unimodular forms are determined by rank, signature and
-    parity; the two cases used here are m hyperbolic blocks and the odd
-    diagonal form.  Everything else (non-unimodular input included) lands in
-    "other".
+    even.  A square matrix is unimodular (|det| = 1) exactly when its Smith
+    normal form has one invariant factor 1 per row, the 0x0 matrix included.
+    Indefinite unimodular forms are determined by rank, signature and parity;
+    the two cases used here are the even form of signature 0 (hyperbolic
+    blocks) and the odd diagonal form.  Everything else (non-unimodular input
+    included) lands in "other".
     """
     if not m.is_symmetric():
         raise ValueError("intersection form must be symmetric")
     sig, rank = signature_and_rank(m)
     parity = "odd" if any(x % 2 for x in m.diagonal()) else "even"
-    unimodular = abs(determinant(m)) == 1
-    if unimodular and parity == "even" and sig == 0 and rank % 2 == 0:
-        return FormType("hyperbolic", rank, sig, parity, hyperbolic_blocks=rank // 2)
-    if unimodular and parity == "odd":
-        return FormType(
-            "odd", rank, sig, parity, b_plus=(rank + sig) // 2, b_minus=(rank - sig) // 2
-        )
-    return FormType("other", rank, sig, parity)
+    kind = "other"
+    if smith_normal_form(m).invariant_factors == (1,) * m.rows:
+        if parity == "odd":
+            kind = "odd"
+        elif sig == 0:
+            kind = "hyperbolic"
+    return FormType(kind, rank, sig, parity)

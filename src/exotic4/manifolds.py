@@ -130,10 +130,10 @@ class ManifoldModel:
     recorded input (True, False, or None when unknown), set by the builders
     of X_k, Z_k and the family members.  `certifications` records which
     machine checks have succeeded; verdicts attach certificates via a
-    rebuild, never mutation.
+    rebuild, never mutation.  A model carries no name: a report record is
+    named by its `FamilyParams` or `CustomSchedule`.
     """
 
-    name: str
     params: FamilyParams | None
     presentation: Presentation
     char: CharNumbers
@@ -151,9 +151,6 @@ class ManifoldModel:
             raise ValueError(
                 f"b1 = {self.char.b1} disagrees with H1 free rank {self.h1.free_rank}"
             )
-
-    def certified(self, *certs: str) -> bool:
-        return all(c in self.certifications for c in certs)
 
     @property
     def sw_profile(self) -> tuple[int, int, int] | None:
@@ -243,17 +240,31 @@ def _surface_relators(k: int) -> list[Word]:
     return [commutator(a1, b1) * commutator(a2, b2), base]
 
 
+def _check_length(torus_label: str, length: int) -> None:
+    """Refuse a move whose added relation has `length` letters, more than
+    MAX_RELATOR_LENGTH."""
+    if length > MAX_RELATOR_LENGTH:
+        raise ValueError(
+            f"move {torus_label!r} adds a relation of {length} letters, "
+            f"more than the {MAX_RELATOR_LENGTH} allowed"
+        )
+
+
 def schedule_Mkn(params: FamilyParams) -> tuple[SurgeryMove, ...]:
     """The 2k+4 torus surgery moves producing M(k, n, p, r) from X_k.
 
     Each move trades the pre-surgery commuting relation of its torus for the
     surgered relation.  The -1/p, -1/r moves exist only for k >= 2 (their
-    tori live on the c2/d2 handles), so k = 1 has just 6 moves.
+    tori live on the c2/d2 handles), so k = 1 has just 6 moves.  The -n
+    move's relation [b2, c1^-1]^n d1^-1 has 4n + 1 letters; past
+    MAX_RELATOR_LENGTH it is refused, naming the move, before it is built.
     """
     k, n, p, r = params.k, params.n, params.p, params.r
     a1, b1, a2, b2 = gen("a1"), gen("b1"), gen("a2"), gen("b2")
     ct, dk1 = gen("ct"), gen(f"d{k + 1}")
     c1, d1 = gen("c1"), gen("d1")
+    twist = commutator(b2, c1.inverse())
+    _check_length("a2'' x d1'", twist.length * n + 1)
 
     def move(torus, coeff, pre, post):
         return SurgeryMove(torus, coeff, (pre,), (post,))
@@ -268,9 +279,7 @@ def schedule_Mkn(params: FamilyParams) -> tuple[SurgeryMove, ...]:
         move("a2' x c1'", "-1",
              commutator(b2.inverse(), d1.inverse()),
              relator(commutator(b2.inverse(), d1.inverse()), c1)),
-        move("a2'' x d1'", "-n",
-             commutator(b2, c1.inverse()),
-             relator(commutator(b2, c1.inverse()) ** n, d1)),
+        move("a2'' x d1'", "-n", twist, relator(twist ** n, d1)),
     ]
     if k >= 2:
         c2, d2 = gen("c2"), gen("d2")
@@ -351,7 +360,6 @@ def build_Xk(k: int) -> ManifoldModel:
     char = CharNumbers(4 * k, 0, 2 * k + 4)
     basis = _xk_basis(k)
     return ManifoldModel(
-        name=f"X_{k}",
         params=None,
         presentation=presentation,
         char=char,
@@ -362,7 +370,7 @@ def build_Xk(k: int) -> ManifoldModel:
     )
 
 
-def apply_schedule(base: ManifoldModel, moves, *, name: str | None = None) -> ManifoldModel:
+def apply_schedule(base: ManifoldModel, moves) -> ManifoldModel:
     """Apply surgery moves as in-place relation swaps and redo the bookkeeping.
 
     Torus surgery preserves e and sigma (axiom recorded in reports); H1 and b1
@@ -371,16 +379,12 @@ def apply_schedule(base: ManifoldModel, moves, *, name: str | None = None) -> Ma
     refused with a ValueError naming the move and the cap, before the
     presentation is rewritten.  The result carries no family parameters,
     form basis, symplectic flag or notes: `build_Mkn` and `build_Zk` attach
-    those.  The default name is "<base name>/surgered".
+    those.
     """
     relators = list(base.presentation.relators)
     for mv in moves:
         for rel in mv.added_relations:
-            if rel.length > MAX_RELATOR_LENGTH:
-                raise ValueError(
-                    f"move {mv.torus_label!r} adds a relation of {rel.length} letters, "
-                    f"more than the {MAX_RELATOR_LENGTH} allowed"
-                )
+            _check_length(mv.torus_label, rel.length)
         slot = None
         for rel in mv.removed_relations:
             try:
@@ -398,7 +402,6 @@ def apply_schedule(base: ManifoldModel, moves, *, name: str | None = None) -> Ma
     presentation = Presentation(base.presentation.generators, relators)
     h1 = abelian_invariants(presentation)
     return ManifoldModel(
-        name=f"{base.name}/surgered" if name is None else name,
         params=None,
         presentation=presentation,
         char=CharNumbers(base.char.e, base.char.sigma, h1.free_rank),
@@ -407,8 +410,8 @@ def apply_schedule(base: ManifoldModel, moves, *, name: str | None = None) -> Ma
 
 
 def build_Mkn(params: FamilyParams) -> ManifoldModel:
-    """X_k surgered along the full family schedule, named by its parameters
-    with m = 1 (the multiplicity-m transform is `apply_log_transform`).
+    """X_k surgered along the full family schedule, with m = 1 (the
+    multiplicity-m transform is `apply_log_transform`).
 
     On top of `apply_schedule` it attaches the family fields: `params` with
     m = 1; the symplectic flag n == 1, the one owner of the family's flag
@@ -419,7 +422,7 @@ def build_Mkn(params: FamilyParams) -> ManifoldModel:
     certification is still enumeration's job.
     """
     params = replace(params, m=1)
-    model = apply_schedule(build_Xk(params.k), schedule_Mkn(params), name=params.name)
+    model = apply_schedule(build_Xk(params.k), schedule_Mkn(params))
     notes = ()
     if params.k == 1:
         notes = ("k=1: pi1 and classification claims are not certified; "
@@ -437,7 +440,7 @@ def build_Zk(k: int) -> ManifoldModel:
     Every remaining move has coefficient -1 (p = r = 1), so Z_k is
     symplectic; its flag is stated True, not computed."""
     moves = [mv for mv in schedule_Mkn(FamilyParams(k, 1, 1, 1)) if mv.coefficient != "-n"]
-    return replace(apply_schedule(build_Xk(k), moves, name=f"Z_{k}"), symplectic_flag=True)
+    return replace(apply_schedule(build_Xk(k), moves), symplectic_flag=True)
 
 
 def claimed_invariants(p: int, r: int) -> AbelianInvariants:
@@ -636,7 +639,6 @@ def apply_log_transform(model: ManifoldModel, m: int) -> ManifoldModel:
         parity_note = "form odd (nonspin): abstract diagonal representative attached"
     return replace(
         model,
-        name=params.name,
         params=params,
         presentation=Presentation((), ()),
         h1=AbelianInvariants((), 0),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .coset import DEFAULT_LIMIT, EnumerationOutcome, enumerate_cosets
-from .intlinalg import classify_form
+from .intlinalg import FormType, classify_form
 from .manifolds import (
     PI1_TRIVIAL,
     CertificateError,
@@ -133,12 +133,11 @@ ASSUMPTIONS = (
 
 class SpecError(ValueError):
     """A parse or constraint diagnostic for the run-spec language.  `line`
-    is the spec line at fault, or None when no line is (a CLI flag, or the
-    spec as a whole)."""
+    is the spec line at fault, which prefixes the message as `line N:`; it is
+    None when no line is (a CLI flag, or the spec as a whole)."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -450,15 +449,15 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
 
     if model.form is not None:
         form = classify_form(model.form)
-        k = params.k
+        rank = 4 * params.k - 2
         if params.m % 2 == 1:
-            expected = f"{2 * k - 1}H"
+            expected = FormType("hyperbolic", rank, 0, "even")
         else:
-            expected = f"{2 * k - 1}<1> + {2 * k - 1}<-1>"
+            expected = FormType("odd", rank, 0, "odd")
         verdicts["form"] = {
-            "status": "pass" if str(form) == expected else "fail",
+            "status": "pass" if form == expected else "fail",
             "classification": str(form),
-            "expected": expected,
+            "expected": str(expected),
             "parity": form.parity,
             "rank": form.rank,
             "signature": form.signature,
@@ -483,9 +482,8 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
                 "reason": homeo.reason,
             }
         else:
-            expected_certificate = model.certified(PI1_TRIVIAL)
             verdicts["homeomorphism"] = {
-                "status": "fail" if expected_certificate else "not-applicable",
+                "status": "fail" if PI1_TRIVIAL in model.certifications else "not-applicable",
                 "type": None,
                 "reason": homeo.reason,
             }
@@ -517,7 +515,7 @@ def run_custom_model(custom: CustomSchedule, limit: int) -> dict:
             removed_relations=custom.removed,
             added_relations=custom.added,
         )
-        model = apply_schedule(base, (move,), name=custom.name)
+        model = apply_schedule(base, (move,))
     except (ParameterError, ScheduleMismatchError) as exc:
         return _failed_record(custom, str(exc))
     simplification = tietze_simplify(model.presentation)

@@ -148,9 +148,15 @@ def classify_homeomorphism(model: ManifoldModel) -> HomeoVerdict:
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
+    """The sorted distinct (L-L')^2 values and the allowed set; it passed
+    exactly when every value is allowed."""
+
     squares: tuple[int, ...]
     allowed: tuple[int, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(x in self.allowed for x in self.squares)
 
 
 def irreducibility_check(classes: BasicClassSet, k: int) -> IrreducibilityVerdict:
@@ -158,17 +164,16 @@ def irreducibility_check(classes: BasicClassSet, k: int) -> IrreducibilityVerdic
 
     In particular -4 never occurs, which rules out splitting off a standard
     piece in a connected-sum decomposition; a pass records the model as
-    irreducible (given the basic-class inputs).
+    irreducible (given the basic-class inputs).  T pairs trivially with A, B
+    and T, so (L-L')^2 = 2*ds*dt depends only on the (s, t) parts: the
+    differences are taken over the distinct (s, t) projections of the
+    classes, two for every family member whatever m is.
     """
     if not classes.entries:
         raise ContractError("irreducibility check needs a nonempty class set")
-    squares = sorted(
-        {(a - b).square for a in classes.classes for b in classes.classes}
-    )
-    allowed = (0, 32 * k)
-    return IrreducibilityVerdict(
-        tuple(squares), allowed, all(x in allowed for x in squares)
-    )
+    points = {ClassVector(c.s, c.t) for c in classes.classes}
+    squares = sorted({(a - b).square for a in points for b in points})
+    return IrreducibilityVerdict(tuple(squares), (0, 32 * k))
 
 
 @dataclass(frozen=True)

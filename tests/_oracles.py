@@ -1,11 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle recomputes a quantity by a different method than the library
-(letter stacks instead of run-length syllables, cofactor expansion instead
-of Bareiss, determinantal divisors instead of pivoting, rational congruence
-diagonalization instead of integer reduction, every relator traced at every
-coset instead of only those a column mask lets start) so that agreement is
-evidence, not an identity check.
+(letter stacks instead of run-length syllables, cofactor expansion and
+rational elimination for determinants, determinantal divisors instead of
+pivoting, rational congruence diagonalization instead of integer reduction,
+every relator traced at every coset instead of only those a column mask lets
+start) so that agreement is evidence, not an identity check.
 """
 
 from __future__ import annotations
@@ -154,6 +154,26 @@ def cofactor_determinant(rows) -> int:
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_determinant(minor)
     return total
+
+
+def rational_determinant(rows) -> int:
+    """Determinant by Gaussian elimination over Q with Fraction pivots."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if m[r][i] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, n):
+            f = m[r][i] / m[i][i]
+            for c in range(i, n):
+                m[r][c] -= f * m[i][c]
+    return int(det)
 
 
 def determinantal_divisor_factors(rows, cols_count) -> tuple[int, ...]:

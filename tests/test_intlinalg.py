@@ -1,4 +1,4 @@
-"""Exact integer matrix layer: SNF, determinants, forms, abelianization."""
+"""Exact integer matrix layer: SNF, forms, abelianization."""
 
 import random
 
@@ -11,7 +11,6 @@ from exotic4.intlinalg import (
     IntMatrix,
     abelian_invariants,
     classify_form,
-    determinant,
     exponent_matrix,
     signature_and_rank,
     smith_normal_form,
@@ -64,16 +63,6 @@ def test_matrix_validation():
         IntMatrix([[1, 2]], cols=3)  # explicit width disagrees with the rows
     with pytest.raises((TypeError, ValueError)):
         IntMatrix(((1.5,),))
-
-
-def test_determinant_matches_cofactor_expansion():
-    rng = random.Random(11)
-    assert determinant(mat([[2, 4], [6, 8]])) == -8
-    assert determinant(mat([[1]])) == 1
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert determinant(mat(rows)) == cofactor_determinant(rows)
 
 
 def test_snf_of_a_small_dense_matrix():
@@ -184,16 +173,15 @@ def hyperbolic(blocks):
 def test_classify_hyperbolic_and_odd_forms():
     h3 = classify_form(hyperbolic(3))
     assert h3.kind == "hyperbolic"
-    assert (h3.hyperbolic_blocks, h3.rank, h3.signature, h3.parity) == (3, 6, 0, "even")
+    assert (h3.rank, h3.signature, h3.parity) == (6, 0, "even")
     assert str(h3) == "3H"
 
     odd = classify_form(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
     assert odd.kind == "odd"
-    assert (odd.b_plus, odd.b_minus) == (2, 1)
     assert str(odd) == "2<1> + 1<-1>"
 
     empty = classify_form(mat([], cols=0))
-    assert empty.kind == "hyperbolic" and empty.hyperbolic_blocks == 0
+    assert empty.kind == "hyperbolic"
     assert str(empty) == "0H"
 
     definite_even = classify_form(mat([[2]]))
@@ -213,12 +201,27 @@ def test_classification_invariant_under_basis_change():
         for _ in range(8):
             w = random_unimodular(rng, len(rows))
             changed = classify_form(mat(congruent(w, rows)))
-            assert changed.kind == reference.kind
-            assert changed.rank == reference.rank
-            assert changed.signature == reference.signature
-            assert changed.parity == reference.parity
-            assert changed.hyperbolic_blocks == reference.hyperbolic_blocks
-            assert changed.b_plus == reference.b_plus
+            assert changed == reference
+
+
+def test_unimodularity_matches_cofactor_expansion():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        form = classify_form(mat(rows))
+        unimodular = abs(cofactor_determinant(rows)) == 1
+        if not unimodular:
+            assert form.kind == "other", rows
+        elif any(rows[i][i] % 2 for i in range(n)):
+            assert form.kind == "odd", rows
+        seen.add((unimodular, form.kind))
+    # the sample reaches both sides of the unimodularity test
+    assert {(True, "odd"), (False, "other")} <= seen
 
 
 def test_classify_requires_symmetry():

@@ -170,7 +170,6 @@ def test_empty_schedule_is_a_noop_on_the_presentation():
     same = apply_schedule(base, ())
     assert same.presentation == base.presentation
     assert same.char == base.char
-    assert same.name.startswith("X_2")
 
 
 def test_schedule_mismatch_is_reported_with_the_move():
@@ -188,10 +187,20 @@ def test_schedule_mismatch_is_reported_with_the_move():
 def test_an_over_long_family_relation_fails_its_record_at_once():
     # The -1/p move adds [b2^-1, d2^-1] c2^-p, 4 + p letters: past the cap
     # for p = MAX_RELATOR_LENGTH, so the record fails before X_k is surgered.
-    record = report._record(FamilyParams(2, 1, MAX_RELATOR_LENGTH, 1), 100)
-    assert record["passed"] is False
-    assert record["error"].startswith("ValueError: move \"a2' x c2'\"")
-    assert f"more than the {MAX_RELATOR_LENGTH} allowed" in record["error"]
+    # The -n move adds [b2, c1^-1]^n d1^-1, 4n + 1 letters: past the cap for
+    # every n >= 250,000, refused by the move before the power is built.
+    cases = [
+        (FamilyParams(2, 1, MAX_RELATOR_LENGTH, 1), "a2' x c2'", MAX_RELATOR_LENGTH + 4),
+        *((FamilyParams(2, n, 1, 1), "a2'' x d1'", 4 * n + 1)
+          for n in (250_000, 250_001, 300_000)),
+    ]
+    for params, label, letters in cases:
+        record = report._record(params, 100)
+        assert record["passed"] is False
+        assert record["error"] == (
+            f"ValueError: move {label!r} adds a relation of {letters} letters, "
+            f"more than the {MAX_RELATOR_LENGTH} allowed"
+        ), params
 
 
 def test_surgery_preserves_euler_number_and_signature():
@@ -223,11 +232,11 @@ def test_every_model_carries_the_abelianization_of_its_presentation():
         *(build_Mkn(FamilyParams(*t))
           for t in ((1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 0, 1), (3, 1, 2, 2))),
         build_Zk(2),
-        apply_schedule(build_Xk(2), (custom,), name="tweak"),
+        apply_schedule(build_Xk(2), (custom,)),
         apply_log_transform(certified(build_Mkn(FamilyParams(2, 1))), 2),
     ]
     for model in models:
-        assert model.h1 == abelian_invariants(model.presentation), model.name
+        assert model.h1 == abelian_invariants(model.presentation), model.params
 
 
 def test_a_family_record_abelianizes_each_presentation_once(monkeypatch):
@@ -519,8 +528,7 @@ def test_log_transform_keeps_numbers_and_flips_parity():
     assert even.presentation.generators == ()
     assert str(classify_form(even.form)) == "3<1> + 3<-1>"
     assert even.sw_profile == (2, 1, 2)
-    assert even.certified(PI1_TRIVIAL)
-    assert "m=2" in even.name
+    assert PI1_TRIVIAL in even.certifications
 
     odd = apply_log_transform(model, 3)
     assert str(classify_form(odd.form)) == "3H"

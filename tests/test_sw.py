@@ -171,7 +171,7 @@ def test_classification_refuses_models_without_a_profile():
 # ---------------------------------------------------------------- irreducibility
 
 
-def test_pairwise_square_differences_stay_in_the_allowed_set():
+def test_pairwise_square_differences_stay_in_the_allowed_set(monkeypatch):
     for k in (2, 3):
         for n in (1, 4):
             for m in (1, 2, 4):
@@ -183,6 +183,19 @@ def test_pairwise_square_differences_stay_in_the_allowed_set():
     # both values actually occur for the two-class spectrum
     verdict = irreducibility_check(basic_classes(2, 1, 1), 2)
     assert set(verdict.squares) == {0, 64}
+    # The 600 classes at m = 300 project to two (s, t) points: a handful of
+    # differences, not the 360,000 ordered pairs of the classes themselves.
+    calls = []
+    real = ClassVector.__sub__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(ClassVector, "__sub__", counting)
+    verdict = irreducibility_check(basic_classes(2, 1, 300), 2)
+    assert verdict.squares == (0, 64) and verdict.passed
+    assert len(calls) <= 16
 
 
 def test_irreducibility_flags_foreign_differences():
