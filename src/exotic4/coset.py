@@ -1,11 +1,16 @@
-"""Todd-Coxeter coset enumeration over the trivial subgroup.
+"""Todd-Coxeter coset enumeration over a subgroup given by words.
 
 HLT-style relator tracing (Haselgrove-Leech-Trotter: define cosets to close
 every relator scan) with one lookahead pass each time the table fills, as
 presented in Holt, "Handbook of Computational Group Theory", section 5.2.
-Table columns are the letters of `presentations.relator_letters`: generator
+Table columns are the letters of `presentations.word_letters`: generator
 i is column 2i and its inverse 2i+1.  Coincidences are handled by union-find
 with path compression, keeping the smallest coset id as survivor.
+
+The subgroup is the trivial one unless words are given.  Each subgroup word
+is scanned at coset 0, with definitions, before any relator is.  Coset 0
+always survives a coincidence (the smallest id does), and a closed trace
+stays closed through coincidences, so one scan is enough.
 
 Coset ids are permanent: a coset keeps the id it was defined with for the
 whole enumeration, and a dead coset's row is freed (set to None) as soon as
@@ -48,7 +53,9 @@ c -> d always survives as rep(c) -> rep(d), so tracing it again would
 define, deduce and merge nothing.
 
 Hitting the coset limit is an outcome, not an error: callers receive
-LimitExceeded and decide what to do.
+LimitExceeded and decide what to do.  So is hitting the work bound of
+WORK_BOUND * limit definitions, which is what ends an enumeration whose
+coincidences keep the live count below the limit.
 """
 
 from __future__ import annotations
@@ -57,9 +64,16 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 
-from .presentations import Presentation, relator_letters
+from .presentations import Presentation, relator_letters, word_letters
+from .words import Word
 
 DEFAULT_LIMIT = 1_000_000
+# An enumeration returns LimitExceeded once it has defined WORK_BOUND times
+# `limit` cosets, whatever the live count.  A completed run needs more
+# definitions per unit of limit the larger its index and the nearer its limit
+# to the smallest one that completes; the most measured on the family models
+# is 6.79 (pi1 of order 16), and 12 leaves a margin of 1.5 or more over it.
+WORK_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -69,6 +83,9 @@ class Completed:
 
 @dataclass(frozen=True)
 class LimitExceeded:
+    """`cosets_used` is the live count when the enumeration stopped: the
+    limit when the table was full, fewer when the work bound stopped it."""
+
     cosets_used: int
 
 
@@ -111,7 +128,7 @@ class _Memo(dict):
 
 
 class _Enumerator:
-    def __init__(self, presentation: Presentation, limit: int):
+    def __init__(self, presentation: Presentation, limit: int, subgroup: tuple[Word, ...] = ()):
         self.ncols = 2 * len(presentation.generators)
         # Cyclically reduced relators as column tuples, duplicates and empty
         # relators (whose trace closes at once) dropped.  Each is the record
@@ -121,7 +138,15 @@ class _Enumerator:
         for w in dict.fromkeys(tuple(map(ord, s)) for s in relator_letters(presentation) if s):
             inv = tuple(x ^ 1 for x in w)
             relators.append((w, inv, w[0], inv[-1], len(w) - 1))
+        # The subgroup words in the same record shape.  They are not
+        # cyclically reduced (a conjugate of a word generates another
+        # subgroup), and an empty word's record closes at once.
+        self.subgroup = []
+        for s in (word_letters(word, presentation.generators) for word in subgroup):
+            w = tuple(map(ord, s))
+            self.subgroup.append((w, tuple(x ^ 1 for x in w), None, None, len(w) - 1))
         self.limit = limit
+        self.max_definitions = WORK_BOUND * limit
         self.table: list[list[int | None]] = [[None] * self.ncols]
         # mask[c] has bit x set whenever table[c][x] is defined (see above),
         # in the narrowest container that holds ncols bits.
@@ -149,9 +174,10 @@ class _Enumerator:
 
     def define(self, a: int, x: int) -> int:
         """Define a new coset b = a.x and return it; raise _Overflow when
-        the table holds `limit` live cosets."""
+        the table holds `limit` live cosets or `WORK_BOUND * limit` cosets
+        have been defined."""
         live = self.live
-        if live >= self.limit:
+        if live >= self.limit or self.definitions >= self.max_definitions:
             raise _Overflow
         table = self.table
         b = len(table)
@@ -341,6 +367,12 @@ class _Enumerator:
                 ptr += 1
                 continue
             try:
+                if ptr == 0:
+                    # Close each subgroup word at coset 0 before its
+                    # relators; after an overflow the scan resumes
+                    # (rescanning a closed trace is harmless).
+                    for rec in self.subgroup:
+                        self.scan(0, rec)
                 for rel in self.relators:
                     self.scan(ptr, rel)
                     if table[ptr] is None:
@@ -354,29 +386,37 @@ class _Enumerator:
                 # Cosets below ptr are fully traced and ids never change, so
                 # resume at ptr (rescanning a survivor is harmless), and the
                 # lookahead need not trace below it.
-                if not self._lookahead(ptr):
+                if self.definitions >= self.max_definitions or not self._lookahead(ptr):
                     return LimitExceeded(self.live)
         return Completed(self.live)
 
 
 def enumerate_cosets(
-    presentation: Presentation, limit: int = DEFAULT_LIMIT
+    presentation: Presentation, limit: int = DEFAULT_LIMIT, subgroup: tuple[Word, ...] = ()
 ) -> EnumerationOutcome:
-    """Enumerate cosets of the trivial subgroup.
+    """Enumerate the cosets of the subgroup generated by the `subgroup`
+    words, the trivial subgroup when there are none.
 
-    Completed(index) proves the presented group has order `index`; it is
-    returned once every live coset is scanned closed under every relator,
-    which happens for a finite group given a large enough limit.
-    LimitExceeded is returned only when a definition is due with `limit`
-    cosets live and the lookahead pass that follows still leaves `limit`
-    cosets live.  Nothing else stops the enumeration, so for an infinite
-    group it does not always end: when each lookahead pass frees cosets
-    and coincidences keep the live count below `limit`, it keeps defining
-    cosets without end, as M(2,1) with p = 0, r = 1 does at limit 100,000.
+    Completed(index) proves the subgroup has that index in the presented
+    group: over the trivial subgroup, that the group has order `index`, and
+    over <g>, index 1 proves the group is <g>.  It is returned once every
+    subgroup word traces closed at coset 0 and every live coset is scanned
+    closed under every relator, which happens for a finite index given a
+    large enough limit.
+
+    LimitExceeded is returned when a definition is due with `limit` cosets
+    live and the lookahead pass that follows still leaves `limit` cosets
+    live, or when a definition is due after WORK_BOUND * limit of them.
+    The second rule makes every enumeration end, after at most that many
+    definitions: without it, an infinite index whose coincidences keep the
+    live count below `limit` keeps defining cosets without end, as M(2,1)
+    with p = 0, r = 1 does at limit 100,000.  A finite index that needs
+    more definitions than that at `limit` is reported LimitExceeded; a
+    larger limit raises the bound with the table.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    enum = _Enumerator(presentation, limit)
+    enum = _Enumerator(presentation, limit, subgroup)
     result = enum.run()
     stats = EnumerationStats(
         definitions=enum.definitions,

@@ -17,6 +17,7 @@ complement must first be certified simply connected) produces M(k, n, m).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .coset import DEFAULT_LIMIT, EnumerationOutcome, enumerate_cosets
 from .intlinalg import AbelianInvariants, IntMatrix, abelian_invariants
@@ -457,17 +458,19 @@ class Pi1Verdict:
 
     `h1_check` compares the model's H1 (the abelianization its builder
     computed) against the claimed Z/p + Z/r.
-    `enumeration` is the coset-enumeration certificate over the trivial
-    subgroup (None if the claimed group is infinite and enumeration was
-    skipped), and `enumerated` names the presentation it ran on:
-    "as-built" for the model's own, "complement" when a torus-complement
-    certificate whose group maps onto pi1 proved that group trivial, and None
-    when nothing was enumerated.  `simplification` carries the
-    generator-elimination evidence.  The rest is read off these fields:
-    `expected_index` is the claimed group's order, `passed` needs the H1
-    check and, when something was enumerated, a completed enumeration with
-    that index, and `certifies_trivial` is True exactly when the enumeration
-    completed with index 1.
+    `enumeration` is the coset-enumeration certificate (None if the claimed
+    group is infinite and enumeration was skipped), and `enumerated` names
+    the presentation it ran on and so its subgroup: "as-built" for the
+    model's own, enumerated over the trivial subgroup; "complement" for a
+    passed torus-complement certificate, enumerated over <b2>, whose index 1
+    together with the complement's H1 = 0 proved the complement group
+    trivial, and that group maps onto pi1; and None when nothing was
+    enumerated.  Either way index 1 proves pi1 trivial.  `simplification`
+    carries the generator-elimination evidence.  The rest is read off these
+    fields: `expected_index` is the claimed group's order, `passed` needs
+    the H1 check and, when something was enumerated, a completed enumeration
+    with that index, and `certifies_trivial` is True exactly when the
+    enumeration completed with index 1.
     """
 
     claimed: AbelianInvariants
@@ -510,9 +513,9 @@ def verify_pi1(
     A passed `complement` certificate replaces that enumeration.  Its
     presentation must have the model's generators and a subset of its
     relators (CertificateError otherwise): the identity on generators then
-    maps the complement group onto pi1, so the complement's Completed(1)
-    proves pi1 trivial too.  A certificate that did not pass leaves the
-    as-built enumeration to run.
+    maps the complement group onto pi1, so the certificate's proof that the
+    complement group is trivial proves pi1 trivial too.  A certificate that
+    did not pass leaves the as-built enumeration to run.
     """
     if model.params is None:
         raise ParameterError("pi1 verification needs family parameters")
@@ -578,17 +581,33 @@ def complement_presentation(model: ManifoldModel) -> Presentation:
         ) from None
 
 
+# The complement is enumerated over the cyclic subgroup this generates: of
+# the generators tried, it needs the fewest definitions.
+COMPLEMENT_SUBGROUP = gen("b2")
+
+
 @dataclass(frozen=True)
 class ComplementVerdict:
-    """The torus-complement enumeration and the presentation it ran on.  It
-    passed exactly when the enumeration completed with index 1."""
+    """The torus-complement enumeration over <b2> and the presentation it
+    ran on; `h1` is read off that presentation.
+
+    It passed exactly when the enumeration completed with index 1 and H1 is
+    0.  Index 1 over <b2> proves the complement group G = <b2>, so G is
+    cyclic and therefore isomorphic to its abelianization H1; H1 = 0 then
+    proves G trivial.  H1 is computed, not assumed from the dropped relator
+    being a commutator.
+    """
 
     presentation: Presentation
     enumeration: EnumerationOutcome
 
+    @cached_property
+    def h1(self) -> AbelianInvariants:
+        return abelian_invariants(self.presentation)
+
     @property
     def passed(self) -> bool:
-        return self.enumeration.index == 1
+        return self.enumeration.index == 1 and self.h1.trivial
 
 
 def verify_complement(
@@ -596,7 +615,8 @@ def verify_complement(
 ) -> ComplementVerdict:
     """Certify that the torus complement is simply connected."""
     pres = complement_presentation(model)
-    return ComplementVerdict(pres, enumerate_cosets(pres, limit=limit))
+    enumeration = enumerate_cosets(pres, limit=limit, subgroup=(COMPLEMENT_SUBGROUP,))
+    return ComplementVerdict(pres, enumeration)
 
 
 def with_complement_certificate(

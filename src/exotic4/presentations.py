@@ -7,7 +7,7 @@ and the eliminations made); no verdict reads it.
 
 This module owns the letter encoding that Tietze simplification and coset
 enumeration work on: generator i is letter 2i, its inverse 2i+1, and a
-relator is the str of its letters' code points (see `relator_letters`).
+word is the str of its letters' code points (see `word_letters`).
 Inversion is a reversal plus `translate`, substitution one `translate`.
 """
 
@@ -89,15 +89,16 @@ def _reduced(letters: str) -> str:
     return "".join(out[i:j + 1])
 
 
+def word_letters(word: Word, generators: tuple[str, ...]) -> str:
+    """The letter string of a word over `generators`: freely reduced, like
+    every Word, but not cyclically."""
+    col = {name: 2 * i for i, name in enumerate(generators)}
+    return "".join(chr(col[name] + (exp < 0)) * abs(exp) for name, exp in word.syllables)
+
+
 def relator_letters(presentation: Presentation) -> list[str]:
     """The relators as freely and cyclically reduced letter strings, in order."""
-    col = {name: 2 * i for i, name in enumerate(presentation.generators)}
-    return [
-        _reduced("".join(
-            chr(col[name] + (0 if exp > 0 else 1)) * abs(exp) for name, exp in r.syllables
-        ))
-        for r in presentation.relators
-    ]
+    return [_reduced(word_letters(r, presentation.generators)) for r in presentation.relators]
 
 
 def _from_letters(letters: str, names: tuple[str, ...]) -> Word:

@@ -22,6 +22,7 @@ from . import __version__
 from .coset import DEFAULT_LIMIT, EnumerationOutcome, enumerate_cosets
 from .intlinalg import FormType, classify_form
 from .manifolds import (
+    COMPLEMENT_SUBGROUP,
     PI1_TRIVIAL,
     CertificateError,
     FamilyParams,
@@ -398,7 +399,8 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
     comp = None
     if params.k >= 2:
         # For p = r = 1 the complement runs first: its group maps onto pi1, so
-        # its Completed(1) certifies both and pi1 needs no enumeration of its own.
+        # its certificate proves both trivial and pi1 needs no enumeration of
+        # its own.
         if params.p == 1 and params.r == 1:
             comp = verify_complement(model, limit=limit)
         verdict = verify_pi1(model, limit=limit, complement=comp)
@@ -423,6 +425,8 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
         model = with_complement_certificate(model, comp)
         verdicts["complement"] = {
             "status": "pass" if comp.passed else "fail",
+            "subgroup": str(COMPLEMENT_SUBGROUP),
+            "h1": str(comp.h1),
             "enumeration": _enumeration_record(comp.enumeration),
         }
     else:

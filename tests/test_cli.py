@@ -17,6 +17,7 @@ import pytest
 
 from exotic4 import cli, manifolds, report
 from exotic4.cli import main
+from exotic4.coset import WORK_BOUND
 from exotic4.report import SpecError, parse_spec
 
 
@@ -192,7 +193,7 @@ custom k=2 name=tweak
 end
 limit 20000
 """
-WIDE_SHA256 = "8370d9031ee67bfb95ade332f51c6b4a52d8432e2f61a3b571a2bf27035e1497"
+WIDE_SHA256 = "a0e1f9c11eeef6fcc09a4db877e85a56efdb3c9ab6fa32ca8883e09f369033e5"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -200,6 +201,26 @@ def test_wide_spec_report_bytes_are_pinned(jobs):
     text = report.render_json(report.run(parse_spec(WIDE_SPEC), jobs=jobs))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == WIDE_SHA256, f"wide-spec report sha256 is now {digest}"
+
+
+def test_a_custom_block_with_infinite_pi1_ends_limit_exceeded():
+    # Seven removes and seven adds turn X_2's relators into those of
+    # M(2,1,0,1), whose pi1 is Z.  At limit 50,000 coincidences keep the
+    # table below the limit after a few lookahead passes; the work bound,
+    # not the table, ends the enumeration.
+    x2 = manifolds.build_Xk(2).presentation.relators
+    m2101 = manifolds.build_Mkn(manifolds.FamilyParams(2, 1, 0, 1)).presentation.relators
+    removed = [r for r in x2 if r not in m2101]
+    added = [r for r in m2101 if r not in x2]
+    assert len(removed) == len(added) == 7
+    body = [f"  remove {r}" for r in removed] + [f"  add {r}" for r in added]
+    spec = "\n".join(["custom k=2 name=z", *body, "end", "limit 50000", ""])
+    (record,) = report.run(parse_spec(spec))["models"]
+    assert record["h1"] == "Z"
+    enumeration = record["verdicts"]["pi1"]["enumeration"]
+    assert enumeration["result"] == "limit-exceeded"
+    assert enumeration["definitions"] == WORK_BOUND * 50_000
+    assert enumeration["max_live"] == 50_000 > enumeration["cosets_used"]
 
 
 def test_limit_flag_overrides_the_spec_limit(tmp_path):

@@ -1,17 +1,17 @@
-"""Coset enumeration over the trivial subgroup."""
+"""Coset enumeration over the trivial subgroup and over subgroups."""
 
 import hashlib
 import random
-from itertools import islice
 
 import pytest
 
 from _oracles import reference_lookahead
 from exotic4.manifolds import FamilyParams, build_Mkn
 from exotic4.words import Word, commutator, gen, parse_relation
-from exotic4.presentations import Presentation, tietze_simplify
+from exotic4.presentations import Presentation, tietze_simplify, word_letters
 from exotic4.coset import (
     DEFAULT_LIMIT,
+    WORK_BOUND,
     Completed,
     LimitExceeded,
     _Enumerator,
@@ -55,6 +55,38 @@ def test_infinite_group_hits_the_limit():
     assert outcome.index is None
 
 
+def test_work_is_bounded_when_coincidences_keep_the_table_below_the_limit():
+    # M(2,1) with p = 0, r = 1 has infinite pi1.  At 100,000 its third
+    # lookahead pass frees almost every coset, and HLT then defines cosets
+    # that coincidences keep reclaiming below the limit, without end.  The
+    # work bound stops it at WORK_BOUND * limit definitions, and no more ids
+    # than that are ever made.
+    m2101 = build_Mkn(FamilyParams(2, 1, 0, 1)).presentation
+    enum = _Enumerator(m2101, 100_000)
+    result = enum.run()
+    assert isinstance(result, LimitExceeded) and result.cosets_used < 100_000
+    assert enum.definitions == WORK_BOUND * 100_000 == len(enum.table) - 1
+    assert enum.max_live == 100_000 and enum.lookahead_passes == 3
+    assert sum(row is not None for row in enum.table) == enum.live <= 100_000
+
+
+def test_the_work_bound_leaves_room_above_the_hardest_completed_runs():
+    # A completed run needs more definitions per unit of limit the larger its
+    # index and the nearer its limit to the smallest one that completes.  Of
+    # the family models measured, M(2,1,4,4) (pi1 of order 16) at 64,000
+    # needs the most, 6.79 x limit; M(3,1,2,2) at 100,000 is perfbench's
+    # finite-index-k3 workload.  Both complete, with the bound at least 1.5
+    # times their need.
+    cases = [
+        (FamilyParams(3, 1, 2, 2), 100_000, Completed(4), 378_964),
+        (FamilyParams(2, 1, 4, 4), 64_000, Completed(16), 434_315),
+    ]
+    for params, limit, result, definitions in cases:
+        outcome = enumerate_cosets(build_Mkn(params).presentation, limit)
+        assert (outcome.result, outcome.stats.definitions) == (result, definitions)
+        assert 3 * definitions <= 2 * WORK_BOUND * limit
+
+
 def test_limit_is_a_value_not_an_exception():
     # Q8 needs a table of exactly its order; one coset less is a
     # LimitExceeded outcome, not an error.
@@ -62,6 +94,71 @@ def test_limit_is_a_value_not_an_exception():
     short = enumerate_cosets(Q8, limit=7)
     assert short.result == LimitExceeded(7)
     assert not short.completed
+
+
+def element_order(presentation, word):
+    """The order of `word` in a finite group, read off the completed table
+    of the trivial subgroup: G acts on its own elements, so the orbit of
+    coset 0 under `word` is as long as `word`'s order."""
+    enum = _Enumerator(presentation, DEFAULT_LIMIT)
+    assert isinstance(enum.run(), Completed)
+    letters = list(map(ord, word_letters(word, presentation.generators)))
+    c, order = 0, 0
+    while True:
+        for x in letters:
+            c = enum.table[c][x]
+        order += 1
+        if c == 0:
+            return order
+
+
+CYCLIC_SUBGROUPS = [
+    (S3, ["a", "b", "a*b", "b^-1"]),
+    (Q8, ["i", "j", "i*j", "i^2"]),
+    (Z5, ["a", "a^2", "a^-3"]),
+    (A5, ["a", "b", "a*b", "a*b^-1*a*b"]),
+    (STUBBORN, ["x", "y", "x*y^-1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "presentation,words", CYCLIC_SUBGROUPS, ids=["sym3", "quat8", "cyc5", "alt5", "stubborn"]
+)
+def test_index_over_a_cyclic_subgroup_is_the_order_quotient(presentation, words):
+    # [G : <g>] = |G| / |g|, both orders read from trivial-subgroup
+    # enumerations, for single letters, inverses and longer words.  Small
+    # limits, some of which overflow inside the subgroup scan, give the same
+    # index or none.
+    order = enumerate_cosets(presentation).index
+    for text in words:
+        g = parse_relation(text)
+        index = order // element_order(presentation, g)
+        assert enumerate_cosets(presentation, subgroup=(g,)).index == index, text
+        for limit in range(1, index + 3):
+            assert enumerate_cosets(presentation, limit, (g,)).index in (None, index)
+
+
+def test_index_one_over_a_generator_needs_it_to_generate_the_group():
+    # M(2,1,2,1) has pi1 = Z/2 + Z/2, which no one element generates:
+    # over <b1> the enumeration completes, with index 2, not 1.
+    m2121 = build_Mkn(FamilyParams(2, 1, 2, 1)).presentation
+    outcome = enumerate_cosets(m2121, limit=60_000, subgroup=(gen("b1"),))
+    assert outcome.result == Completed(2)
+
+
+def test_the_empty_subgroup_word_generates_the_trivial_subgroup():
+    assert enumerate_cosets(S3, subgroup=(Word(), gen("a"))).index == 3
+    assert enumerate_cosets(S3, subgroup=(Word(),)).index == 6
+
+
+def subgroup_cases():
+    """The cyclic subgroups above at every limit below their index and a
+    little past it: small tables overflow inside the subgroup scan at coset
+    0 and in the relator scans after it."""
+    for presentation, words in CYCLIC_SUBGROUPS:
+        for text in words:
+            for limit in range(1, 25):
+                yield presentation, limit, (parse_relation(text),)
 
 
 def test_index_invariant_under_renaming_and_relator_order():
@@ -183,7 +280,8 @@ def test_every_definition_goes_through_define(monkeypatch):
 
 def test_lookahead_skips_only_closed_cosets(monkeypatch):
     # A lookahead pass starts at the HLT pointer: every live coset below it
-    # must already close every relator, so tracing there would be a no-op.
+    # must already close every relator, and coset 0 every subgroup word, so
+    # tracing there would be a no-op.
     lookahead = _Enumerator._lookahead
     checked = 0
 
@@ -192,7 +290,7 @@ def test_lookahead_skips_only_closed_cosets(monkeypatch):
         for a in range(start):
             if self.table[a] is None:
                 continue
-            for w, *_ in self.relators:
+            for w, *_ in self.relators + (self.subgroup if a == 0 else []):
                 f = a
                 for x in w:
                     f = self.table[f][x]
@@ -203,18 +301,20 @@ def test_lookahead_skips_only_closed_cosets(monkeypatch):
         return lookahead(self, start)
 
     monkeypatch.setattr(_Enumerator, "_lookahead", checking_lookahead)
-    for presentation, limit in [
-        *fingerprint_cases(), (A5, 60), (A5, 61), (STUBBORN, 13), (STUBBORN, 14),
+    for presentation, limit, subgroup in [
+        *((p, limit, ()) for p, limit in fingerprint_cases()),
+        (A5, 60, ()), (A5, 61, ()), (STUBBORN, 13, ()), (STUBBORN, 14, ()),
+        *subgroup_cases(),
     ]:
-        enumerate_cosets(presentation, limit=limit)
+        enumerate_cosets(presentation, limit, subgroup)
     assert checked > 0
 
 
-def cascade_cases():
+def cascade_cases(count=400):
     # Up to four generators and more relators than generators: small limits
     # fill, and lookahead passes set off long coincidence cascades.
     rng = random.Random(2)
-    for _ in range(400):
+    for _ in range(count):
         names = ("a", "b", "c", "d")[: rng.randint(1, 4)]
         relators = tuple(
             Word((rng.choice(names), rng.choice((-1, 1))) for _ in range(rng.randint(1, 8)))
@@ -226,8 +326,9 @@ def cascade_cases():
 # sha256 of the (result, definitions, coincidences, max_live,
 # lookahead_passes) rows of cascade_cases(), recorded with a lookahead pass
 # that traced from coset 0 and a coincidence routine that called a merge
-# function per merge.
-CASCADE_SHA256 = "1db29298a683dd25533111c152a34ad48b403dfb1a42aa94bdf1a0aea5562f63"
+# function per merge.  Re-recorded for the work bound, which stops two
+# LimitExceeded rows earlier and changes no other row.
+CASCADE_SHA256 = "4a1a9b4f400e04539e242068779f8b3521722bd961938d7f87d091260fddf7cb"
 
 
 def test_cascade_fingerprint_is_pinned():
@@ -286,11 +387,19 @@ def test_mask_container_fits_the_column_count():
 
 
 def lookahead_cases():
-    yield from fingerprint_cases()
-    yield from islice(cascade_cases(), 200)
-    yield from [(A5, 60), (A5, 61), (STUBBORN, 13), (STUBBORN, 14)]
-    yield from [(WIDE, limit) for limit in (10, 20, 30, 38)]
-    yield MID, 20
+    """(presentation, limit, subgroup) runs whose lookahead passes the
+    replay tests check."""
+    for presentation, limit in [
+        *fingerprint_cases(),
+        # The work bound stops runs that churn on past their limit, whose
+        # passes made many of the merges, so the replay takes more cases.
+        *cascade_cases(800),
+        (A5, 60), (A5, 61), (STUBBORN, 13), (STUBBORN, 14),
+        *((WIDE, limit) for limit in (10, 20, 30, 38)),
+        (MID, 20),
+    ]:
+        yield presentation, limit, ()
+    yield from subgroup_cases()
 
 
 def root(p, c):
@@ -306,10 +415,10 @@ def test_lookahead_matches_the_reference_pass(monkeypatch):
     # because where path compression leaves a dead coset's parent is
     # bookkeeping that no result depends on.
     lookahead = _Enumerator._lookahead
-    passes = merges = 0
+    passes = merges = subgroup_passes = 0
 
     def checked_lookahead(self, start):
-        nonlocal passes, merges
+        nonlocal passes, merges, subgroup_passes
         table = [None if row is None else list(row) for row in self.table]
         p = list(self.p)
         live, coincidences = self.live, self.coincidences
@@ -321,12 +430,13 @@ def test_lookahead_matches_the_reference_pass(monkeypatch):
         assert room == (self.live < self.limit)
         passes += 1
         merges += merged
+        subgroup_passes += bool(self.subgroup)
         return room
 
     monkeypatch.setattr(_Enumerator, "_lookahead", checked_lookahead)
-    for presentation, limit in lookahead_cases():
-        enumerate_cosets(presentation, limit=limit)
-    assert passes >= 300 and merges >= 5_000
+    for presentation, limit, subgroup in lookahead_cases():
+        enumerate_cosets(presentation, limit, subgroup)
+    assert passes >= 300 and merges >= 5_000 and subgroup_passes >= 100
 
 
 def unmasked_entries(enum):
@@ -352,8 +462,8 @@ def test_masks_cover_every_defined_entry(monkeypatch):
         return lookahead(self, start)
 
     monkeypatch.setattr(_Enumerator, "_lookahead", checked_lookahead)
-    for presentation, limit in lookahead_cases():
-        enum = _Enumerator(presentation, limit)
+    for presentation, limit, subgroup in lookahead_cases():
+        enum = _Enumerator(presentation, limit, subgroup)
         enum.run()
         assert unmasked_entries(enum) == []
     assert passes >= 300

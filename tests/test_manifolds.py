@@ -10,7 +10,7 @@ import pytest
 from exotic4 import manifolds, report
 from exotic4.coset import Completed, EnumerationOutcome, LimitExceeded
 from exotic4.presentations import Presentation
-from exotic4.words import MAX_RELATOR_LENGTH, commutator, gen
+from exotic4.words import MAX_RELATOR_LENGTH, commutator, gen, parse_relation
 from exotic4.intlinalg import AbelianInvariants, abelian_invariants, classify_form
 from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
@@ -344,9 +344,11 @@ def test_models_and_verdicts_copy_and_pickle():
     assert asdict(verdict)["simplification"]["presentation"] == verdict.simplification.presentation
 
 
-# M(2,1) pi1 collapses to one coset at limit 51,130 but not at 51,129.
-# Its complement collapses from 43,983 on, except in windows such as 47,000:
-# the threshold is not monotone in the limit.  Rows are (definitions,
+# M(2,1) pi1, enumerated over the trivial subgroup, collapses to one coset
+# at limit 51,130 but not at 51,129.  Its complement, enumerated over <b2>,
+# collapses at 12,245 but not at 12,244, and at every limit sampled above
+# that (every 100 up to 20,000, every 1,000 up to 61,000): 47,000, where it
+# failed over the trivial subgroup, now completes.  Rows are (definitions,
 # coincidences, max_live, lookahead passes).
 @pytest.fixture(scope="module")
 def threshold_outcomes():
@@ -356,11 +358,13 @@ def threshold_outcomes():
         (verify_pi1, 51_129, LimitExceeded(51_129), (65_604, 14_476, 51_129, 7)),
         (verify_pi1, 51_130, Completed(1), (125_058, 125_058, 51_130, 9)),
         (verify_pi1, 60_000, Completed(1), (135_686, 135_686, 60_000, 7)),
-        (verify_complement, 43_982, LimitExceeded(43_982), (57_310, 13_329, 43_982, 10)),
-        (verify_complement, 43_983, Completed(1), (98_663, 98_663, 43_983, 16)),
-        (verify_complement, 47_000, LimitExceeded(47_000), (60_567, 13_568, 47_000, 7)),
-        (verify_complement, 51_129, Completed(1), (123_028, 123_028, 51_129, 9)),
-        (verify_complement, 60_000, Completed(1), (133_471, 133_471, 60_000, 7)),
+        (verify_complement, 12_000, LimitExceeded(12_000), (12_898, 899, 12_000, 7)),
+        (verify_complement, 12_244, LimitExceeded(12_244), (14_371, 2_128, 12_244, 8)),
+        (verify_complement, 12_245, Completed(1), (37_056, 37_056, 12_245, 15)),
+        (verify_complement, 13_000, Completed(1), (38_553, 38_553, 13_000, 8)),
+        (verify_complement, 47_000, Completed(1), (92_659, 92_659, 47_000, 2)),
+        (verify_complement, 51_129, Completed(1), (93_425, 93_425, 51_129, 2)),
+        (verify_complement, 60_000, Completed(1), (95_622, 95_622, 60_000, 2)),
     ]
     return [
         (verify, limit, result, counts, verify(model, limit=limit).enumeration)
@@ -376,15 +380,56 @@ def test_collapse_threshold_of_the_base_family_model(threshold_outcomes):
 
 
 def test_a_complement_passes_exactly_when_its_enumeration_collapses(threshold_outcomes):
-    # The verdict and the certificate read one fact: Completed(1).
+    # With the complement's H1 = 0, the verdict and the certificate read one
+    # fact: Completed(1).
     model = build_Mkn(FamilyParams(2, 1))
     pres = complement_presentation(model)
+    assert abelian_invariants(pres).trivial
     for *_, outcome in threshold_outcomes:
         verdict = ComplementVerdict(pres, outcome)
         collapsed = outcome.result == Completed(1)
         assert verdict.passed is collapsed
         certified_model = with_complement_certificate(model, verdict)
         assert (COMPLEMENT_TRIVIAL in certified_model.certifications) is collapsed
+
+
+def test_a_complement_with_nontrivial_h1_does_not_pass(threshold_outcomes):
+    # Index 1 over <b2> proves only that the group is cyclic; it is trivial
+    # only when its H1 is.  A nontrivial H1 refuses the certificate.  Without
+    # b2*d1*b2^-1*d1^-1*c1^-1 the complement's relators leave H1 = Z, and
+    # they are still the model's, so pi1 checks the certificate and falls
+    # back to its own enumeration.
+    model = build_Mkn(FamilyParams(2, 1))
+    pres = complement_presentation(model)
+    dropped = parse_relation("b2*d1*b2^-1*d1^-1*c1^-1")
+    free_c1 = pres.without_relator(dropped)
+    collapsed = next(o for *_, o in threshold_outcomes if o.result == Completed(1))
+    verdict = ComplementVerdict(free_c1, collapsed)
+    assert verdict.h1 == AbelianInvariants((), 1) and not verdict.passed
+    assert with_complement_certificate(model, verdict) == model
+    fallback = verify_pi1(model, limit=100, complement=verdict)
+    assert fallback.enumerated == "as-built" and not fallback.passed
+    z2 = ComplementVerdict(Presentation(("a",), (parse_relation("a^2"),)), collapsed)
+    assert z2.h1 == AbelianInvariants((2,), 0) and not z2.passed
+
+
+def test_the_complement_verdict_computes_its_h1(monkeypatch):
+    # The H1 guard is computed from the complement presentation, not read
+    # from the model, and the enumeration runs over <b2>.
+    model = build_Mkn(FamilyParams(2, 1))
+    subgroups = []
+    real = manifolds.enumerate_cosets
+
+    def recording(presentation, limit, subgroup=()):
+        subgroups.append(subgroup)
+        return real(presentation, limit=limit, subgroup=subgroup)
+
+    monkeypatch.setattr(manifolds, "enumerate_cosets", recording)
+    monkeypatch.setattr(manifolds, "abelian_invariants", lambda pres: AbelianInvariants((3,), 0))
+    verdict = verify_complement(model, limit=13_000)
+    assert subgroups == [(gen("b2"),)]
+    assert verdict.enumeration.result == Completed(1)
+    assert verdict.h1 == AbelianInvariants((3,), 0) and not verdict.passed
 
 
 def counting_enumerations(monkeypatch):
@@ -411,8 +456,9 @@ def test_one_enumeration_certifies_pi1_and_the_complement(monkeypatch):
     assert pi1["enumerated"] == "complement"
     assert pi1["enumeration"] == comp["enumeration"] == {
         "result": "completed", "index": 1,
-        "definitions": 133_471, "coincidences": 133_471, "max_live": 60_000,
+        "definitions": 95_622, "coincidences": 95_622, "max_live": 60_000,
     }
+    assert (comp["subgroup"], comp["h1"]) == ("b2", "0")
     # p.r = 0 and k = 1 models enumerate nothing.
     for params in (FamilyParams(2, 1, 0, 1), FamilyParams(1, 1)):
         calls.clear()
@@ -430,35 +476,37 @@ def test_complement_certificate_below_the_pi1_threshold(monkeypatch):
     assert (pi1["status"], pi1["enumerated"]) == ("pass", "complement")
     assert pi1["enumeration"] == record["verdicts"]["complement"]["enumeration"] == {
         "result": "completed", "index": 1,
-        "definitions": 123_028, "coincidences": 123_028, "max_live": 51_129,
+        "definitions": 93_425, "coincidences": 93_425, "max_live": 51_129,
     }
     assert record["certifications"] == [COMPLEMENT_TRIVIAL, PI1_TRIVIAL]
     assert record["verdicts"]["homeomorphism"]["type"] == "3(S2xS2)"
 
 
 def test_failed_complement_falls_back_to_the_direct_pi1_run(monkeypatch):
-    # At 47,000 neither presentation collapses: both ran, and the record
+    # At 12,000 neither presentation collapses: both ran, and the record
     # reports both failures with their counters.
     calls = counting_enumerations(monkeypatch)
     model = build_Mkn(FamilyParams(2, 1))
-    record = report.run_family_model(FamilyParams(2, 1), 47_000)
+    record = report.run_family_model(FamilyParams(2, 1), 12_000)
     assert calls == [complement_presentation(model), model.presentation]
     assert not record["passed"] and record["certifications"] == []
     pi1 = record["verdicts"]["pi1"]
     assert (pi1["status"], pi1["enumerated"]) == ("fail", "as-built")
     assert pi1["enumeration"] == {
-        "result": "limit-exceeded", "cosets_used": 47_000,
-        "definitions": 61_226, "coincidences": 14_227, "max_live": 47_000,
+        "result": "limit-exceeded", "cosets_used": 12_000,
+        "definitions": 12_709, "coincidences": 710, "max_live": 12_000,
     }
     assert record["verdicts"]["complement"] == {
         "status": "fail",
+        "subgroup": "b2",
+        "h1": "0",
         "enumeration": {
-            "result": "limit-exceeded", "cosets_used": 47_000,
-            "definitions": 60_567, "coincidences": 13_568, "max_live": 47_000,
+            "result": "limit-exceeded", "cosets_used": 12_000,
+            "definitions": 12_898, "coincidences": 899, "max_live": 12_000,
         },
     }
     digest = hashlib.sha256(report.render_json(record).encode()).hexdigest()
-    assert digest == "320efcd901fea020a01335a8f471db550519e4f21a26aabc0adea2cafd063540"
+    assert digest == "2e77bde1e9a325d94e9cfc8580a45ab5eff0812810c42d708c2922e992c45a13"
 
 
 def test_pi1_refuses_a_certificate_that_is_not_a_quotient():
