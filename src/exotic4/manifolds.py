@@ -153,14 +153,6 @@ class ManifoldModel:
                 f"b1 = {self.char.b1} disagrees with H1 free rank {self.h1.free_rank}"
             )
 
-    @property
-    def sw_profile(self) -> tuple[int, int, int] | None:
-        """The Seiberg-Witten context (k, n, m) of a family model with a form
-        attached; None otherwise."""
-        if self.params is None or self.form is None:
-            return None
-        return (self.params.k, self.params.n, self.params.m)
-
 
 def hyperbolic_form(blocks: int) -> IntMatrix:
     """Block-diagonal sum of `blocks` copies of [[0,1],[1,0]]."""
@@ -419,8 +411,8 @@ def build_Mkn(params: FamilyParams) -> ManifoldModel:
     (n = 1 keeps the symplectic structure for every (p, r), n >= 2 provably
     destroys it through its basic-class count); the k = 1 note; and, when
     p = r = 1 and H1 is trivial, the labeled (2k-1)-pair basis with its
-    hyperbolic form, which makes `sw_profile` (k, n, 1).  Full pi1
-    certification is still enumeration's job.
+    hyperbolic form, from which the report reads the spin parity and the
+    homeomorphism type.  Full pi1 certification is still enumeration's job.
     """
     params = replace(params, m=1)
     model = apply_schedule(build_Xk(params.k), schedule_Mkn(params))

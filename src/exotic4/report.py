@@ -451,8 +451,8 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
         record["passed"] = False
         return record
 
-    if model.form is not None:
-        form = classify_form(model.form)
+    form = None if model.form is None else classify_form(model.form)
+    if form is not None:
         rank = 4 * params.k - 2
         if params.m % 2 == 1:
             expected = FormType("hyperbolic", rank, 0, "even")
@@ -473,12 +473,11 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             "reason": "no certified simply connected form basis for this model",
         }
 
-    if model.sw_profile is not None and params.k >= 2:
-        k, n, m = model.sw_profile
-        classes = basic_classes(k, n, m)
+    if form is not None and params.k >= 2:
+        classes = basic_classes(params.k, params.n, params.m)
         record["sw"] = _sw_record(classes)
-        verdicts["spin"] = {"status": "pass", "parity": spin_parity(k, n, m)}
-        homeo = classify_homeomorphism(model)
+        verdicts["spin"] = {"status": "pass", "parity": spin_parity(form)}
+        homeo = classify_homeomorphism(model, form)
         if homeo.classified:
             verdicts["homeomorphism"] = {
                 "status": "classified",
@@ -491,7 +490,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
                 "type": None,
                 "reason": homeo.reason,
             }
-        irr = irreducibility_check(classes, k)
+        irr = irreducibility_check(classes, params.k)
         verdicts["irreducibility"] = {
             "status": "pass" if irr.passed else "fail",
             "squares": list(irr.squares),
@@ -552,9 +551,14 @@ def _record(item: FamilyParams | CustomSchedule, limit: int) -> dict:
         return _failed_record(item, f"{name}: {detail}" if detail else name)
 
 
+def _sw_values(record: dict) -> tuple[int, ...]:
+    return tuple(sorted(c["value"] for c in record["sw"]["classes"]))
+
+
 def _pairwise_records(records: list[dict]) -> list[dict]:
-    """Smooth-distinction matrix for classified family models, grouped by
-    homeomorphism type."""
+    """Smooth-distinction matrix for classified family models: only records
+    of one homeomorphism type are compared, by the |SW| values in their
+    `sw.classes`, and each side is tagged by its record's symplectic flag."""
     classified = [
         r
         for r in records
@@ -565,21 +569,15 @@ def _pairwise_records(records: list[dict]) -> list[dict]:
     for i, a in enumerate(classified):
         for b in classified[i + 1:]:
             ta = a["verdicts"]["homeomorphism"]["type"]
-            tb = b["verdicts"]["homeomorphism"]["type"]
-            if ta != tb:
+            if ta != b["verdicts"]["homeomorphism"]["type"]:
                 continue
-            ca = a["sw"]["context"]
-            cb = b["sw"]["context"]
-            verdict = distinguish(
-                basic_classes(ca["k"], ca["n"], ca["m"]),
-                basic_classes(cb["k"], cb["n"], cb["m"]),
-            )
+            verdict = distinguish(_sw_values(a), _sw_values(b))
             entry = {
                 "a": a["name"],
                 "b": b["name"],
                 "homeomorphism_type": ta,
                 "verdict": verdict.kind,
-                "tags": list(verdict.tags),
+                "tags": ["symplectic" if r["symplectic"] else "nonsymplectic" for r in (a, b)],
             }
             if verdict.witness is not None:
                 entry["witness"] = [list(verdict.witness[0]), list(verdict.witness[1])]

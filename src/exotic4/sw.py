@@ -1,4 +1,5 @@
-"""Seiberg-Witten basic-class bookkeeping.
+"""Seiberg-Witten basic-class bookkeeping and the topology verdicts read
+off a classified form.
 
 Works in the integer lattice spanned by (A, B, T): A and B are the
 hyperbolic pair dual to the fiber and base surface classes (the last labeled
@@ -11,15 +12,17 @@ the symplectic intermediate model by Taubes' theorem, value n after the -n
 surgery by the torus-surgery gluing formula, and the 2m-class spectrum of
 the multiplicity-m transform) are axioms recorded in every report.  What is
 computed here is everything downstream of those inputs: the adjunction
--constrained candidate survey, the class spectra, spin parity, the
-homeomorphism type, irreducibility from pairwise (L-L')^2 values, and the
-pairwise smooth distinction verdicts.
+-constrained candidate survey, the class spectra, irreducibility from
+pairwise (L-L')^2 values, and the smooth distinction of two |SW| value
+multisets.  The spin parity and the homeomorphism type are read off the
+classified intersection form (Wu; Freedman), not off (k, n, m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .intlinalg import FormType
 from .manifolds import PI1_TRIVIAL, ManifoldModel
 
 
@@ -55,11 +58,6 @@ class BasicClassSet:
 
     context: tuple[int, int, int]
     entries: tuple[tuple[ClassVector, int], ...]
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        """The |SW| value multiset, sorted."""
-        return tuple(sorted(v for _, v in self.entries))
 
     @property
     def classes(self) -> tuple[ClassVector, ...]:
@@ -102,16 +100,11 @@ def basic_classes(k: int, n: int, m: int) -> BasicClassSet:
     return BasicClassSet((k, n, m), tuple(sorted(entries)))
 
 
-def spin_parity(k: int, n: int, m: int) -> str:
-    """"spin" for odd m, "nonspin" for even m.
-
-    The second Stiefel-Whitney class of the transformed model is (m-1)T
-    mod 2 with T primitive (an input assumption), so it vanishes exactly
-    when m is odd.
-    """
-    if k < 2 or n < 1 or m < 1:
-        raise ContractError(f"need k >= 2, n >= 1, m >= 1 (got k={k}, n={n}, m={m})")
-    return "spin" if m % 2 == 1 else "nonspin"
+def spin_parity(form: FormType) -> str:
+    """"spin" for an even form, "nonspin" for an odd one: on a simply
+    connected 4-manifold w2 is the characteristic class of the form (Wu), so
+    it vanishes exactly when the form is even."""
+    return "spin" if form.parity == "even" else "nonspin"
 
 
 @dataclass(frozen=True)
@@ -126,24 +119,18 @@ class HomeoVerdict:
         return self.type_name is not None
 
 
-def classify_homeomorphism(model: ManifoldModel) -> HomeoVerdict:
-    """Topological type via Freedman: a certified simply connected model with
-    signature 0 and rank 4k-2 is (2k-1)(S2xS2) when spin, and
-    (2k-1)(CP2#CP2bar) when nonspin."""
+def classify_homeomorphism(model: ManifoldModel, form: FormType) -> HomeoVerdict:
+    """Topological type via Freedman: a certified simply connected model whose
+    form classifies as qH is q(S2xS2), and one whose form is q<1> + q<-1> is
+    q(CP2#CP2bar).  Any other form is left unclassified."""
     if PI1_TRIVIAL not in model.certifications:
         return HomeoVerdict(None, "unclassified: pi1 triviality not certified")
-    if model.char.sigma != 0:
-        return HomeoVerdict(None, f"unclassified: signature {model.char.sigma} != 0")
-    if model.sw_profile is None:
-        return HomeoVerdict(None, "unclassified: no (k, n, m) profile attached")
-    k, _, m = model.sw_profile
-    if model.char.b2 != 4 * k - 2 or model.char.b2 % 2 != 0:
-        return HomeoVerdict(
-            None, f"unclassified: rank {model.char.b2} is not the expected 4k-2"
-        )
-    if m % 2 == 1:
-        return HomeoVerdict(f"{2 * k - 1}(S2xS2)", "spin, signature 0, Freedman")
-    return HomeoVerdict(f"{2 * k - 1}(CP2#CP2bar)", "nonspin, signature 0, Freedman")
+    q = form.rank // 2
+    if form.kind == "hyperbolic":
+        return HomeoVerdict(f"{q}(S2xS2)", "spin, signature 0, Freedman")
+    if form.kind == "odd" and form.signature == 0:
+        return HomeoVerdict(f"{q}(CP2#CP2bar)", "nonspin, signature 0, Freedman")
+    return HomeoVerdict(None, f"unclassified: form {form} is neither qH nor q<1> + q<-1>")
 
 
 @dataclass(frozen=True)
@@ -183,27 +170,15 @@ class SmoothVerdict:
 
     kind: str
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None
-    tags: tuple[str, str]
 
 
-def symplectic_tag(n: int) -> str:
-    return "symplectic" if n == 1 else "nonsymplectic"
-
-
-def distinguish(a: BasicClassSet, b: BasicClassSet) -> SmoothVerdict:
-    """Compare two models sharing a homeomorphism type by their |SW| multisets.
+def distinguish(a: tuple[int, ...], b: tuple[int, ...]) -> SmoothVerdict:
+    """Compare the sorted |SW| value multisets of two models of one
+    homeomorphism type (the caller groups the models by type).
 
     Distinct multisets certify the smooth structures differ; equal multisets
     are reported as indistinguishable (never as "diffeomorphic").
     """
-    ka, _, ma = a.context
-    kb, _, mb = b.context
-    if ka != kb or ma % 2 != mb % 2:
-        raise ContractError(
-            f"contexts {a.context} and {b.context} have different homeomorphism "
-            "types; comparison is meaningless"
-        )
-    tags = (symplectic_tag(a.context[1]), symplectic_tag(b.context[1]))
-    if a.values != b.values:
-        return SmoothVerdict("nondiffeomorphic", (a.values, b.values), tags)
-    return SmoothVerdict("indistinguishable", None, tags)
+    if a != b:
+        return SmoothVerdict("nondiffeomorphic", (a, b))
+    return SmoothVerdict("indistinguishable", None)

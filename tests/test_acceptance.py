@@ -134,16 +134,19 @@ def test_criterion_07_basic_class_spectrum():
 
 
 def test_criterion_08_parity_and_homeomorphism_types():
+    # The parity and the type are read off the classified form, as the
+    # report reads them.
     for k in (2, 3):
-        base = replace(
-            build_Mkn(FamilyParams(k, 1)),
-            certifications=frozenset({PI1_TRIVIAL, COMPLEMENT_TRIVIAL}),
-        )
         for n in (1, 2, 3, 4):
+            base = replace(
+                build_Mkn(FamilyParams(k, n)),
+                certifications=frozenset({PI1_TRIVIAL, COMPLEMENT_TRIVIAL}),
+            )
             for m in (1, 2, 3, 4):
-                parity = spin_parity(k, n, m)
-                model = apply_log_transform(base, m) if m > 1 else base
-                verdict = classify_homeomorphism(model)
+                model = apply_log_transform(base, m)
+                form = classify_form(model.form)
+                parity = spin_parity(form)
+                verdict = classify_homeomorphism(model, form)
                 assert verdict.classified
                 if m % 2 == 1:
                     assert parity == "spin"

@@ -270,11 +270,11 @@ def test_trivial_homology_attaches_basis_and_form():
     assert model.char.b2 == 6 and model.char.b2plus == 3
     assert len(model.form_basis) == 3
     assert str(classify_form(model.form)) == "3H"
-    assert model.sw_profile == (2, 1, 1)
+    assert model.params == FamilyParams(2, 1, 1, 1, 1)
     # nontrivial homology must not carry a simply connected basis
     twisted = build_Mkn(FamilyParams(2, 1, 2, 3))
     assert twisted.form is None and twisted.form_basis == ()
-    assert twisted.sw_profile is None
+    assert twisted.params == FamilyParams(2, 1, 2, 3, 1)
 
 
 def test_intermediate_model_bookkeeping():
@@ -575,12 +575,11 @@ def test_log_transform_keeps_numbers_and_flips_parity():
     assert even.h1.trivial
     assert even.presentation.generators == ()
     assert str(classify_form(even.form)) == "3<1> + 3<-1>"
-    assert even.sw_profile == (2, 1, 2)
     assert PI1_TRIVIAL in even.certifications
 
     odd = apply_log_transform(model, 3)
     assert str(classify_form(odd.form)) == "3H"
-    assert odd.sw_profile == (2, 1, 3)
+    assert odd.params == FamilyParams(2, 1, 1, 1, 3)
 
 
 def test_log_transform_symplectic_flag_follows_the_twist():

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from exotic4 import sw
+from exotic4 import report, sw
+from exotic4.intlinalg import classify_form
 from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
     PI1_TRIVIAL,
@@ -12,6 +13,7 @@ from exotic4.manifolds import (
     apply_log_transform,
     build_Mkn,
     build_Xk,
+    odd_diagonal_form,
 )
 from exotic4.sw import (
     ClassVector,
@@ -22,7 +24,6 @@ from exotic4.sw import (
     enumerate_Zk_candidates,
     irreducibility_check,
     spin_parity,
-    symplectic_tag,
 )
 
 
@@ -78,8 +79,7 @@ def test_basic_classes_multiplicity_one():
     classes = basic_classes(2, 3, 1)
     assert classes.context == (2, 3, 1)
     assert classes.classes == (ClassVector(-4, -2, 0), ClassVector(4, 2, 0))
-    assert all(v == 3 for _, v in classes.entries)
-    assert classes.values == (3, 3)
+    assert [v for _, v in classes.entries] == [3, 3]
 
 
 def test_basic_classes_spread_by_multiplicity():
@@ -123,49 +123,72 @@ def test_basic_classes_validate_parameters():
         basic_classes(2, 1, 0)
 
 
-# ---------------------------------------------------------------- parity
+# ---------------------------------------------------------------- parity and type
 
 
-def test_spin_parity_follows_multiplicity():
-    assert spin_parity(2, 1, 1) == "spin"
-    assert spin_parity(2, 1, 2) == "nonspin"
-    assert spin_parity(3, 4, 3) == "spin"
-    assert spin_parity(3, 4, 4) == "nonspin"
-
-
-# ---------------------------------------------------------------- homeomorphism
+def classify(model):
+    """The spin parity and the homeomorphism verdict, both read off the
+    model's classified form, as the report reads them."""
+    form = classify_form(model.form)
+    return spin_parity(form), classify_homeomorphism(model, form)
 
 
 def test_classification_needs_the_certificate():
     model = build_Mkn(FamilyParams(2, 1))
-    verdict = classify_homeomorphism(model)
+    _, verdict = classify(model)
     assert not verdict.classified
     assert verdict.type_name is None
     assert "not certified" in verdict.reason
 
 
-def test_classification_of_certified_models():
+def certified_family():
+    """Certified M(2,1), its m = 2 and m = 3 transforms, and certified M(3,2)."""
     model = certified(build_Mkn(FamilyParams(2, 1)))
-    verdict = classify_homeomorphism(model)
-    assert verdict.classified
-    assert verdict.type_name == "3(S2xS2)"
+    return [
+        model,
+        apply_log_transform(model, 2),
+        apply_log_transform(model, 3),
+        certified(build_Mkn(FamilyParams(3, 2))),
+    ]
 
-    even = apply_log_transform(model, 2)
-    assert classify_homeomorphism(even).type_name == "3(CP2#CP2bar)"
 
-    odd = apply_log_transform(model, 3)
-    assert classify_homeomorphism(odd).type_name == "3(S2xS2)"
+def test_spin_parity_follows_multiplicity():
+    parities = [classify(model)[0] for model in certified_family()]
+    assert parities == ["spin", "nonspin", "spin", "spin"]
 
-    bigger = certified(build_Mkn(FamilyParams(3, 2)))
-    assert classify_homeomorphism(bigger).type_name == "5(S2xS2)"
+
+def test_classification_of_certified_models():
+    verdicts = [classify(model)[1] for model in certified_family()]
+    assert all(v.classified for v in verdicts)
+    assert [v.type_name for v in verdicts] == [
+        "3(S2xS2)", "3(CP2#CP2bar)", "3(S2xS2)", "5(S2xS2)",
+    ]
+
+
+def test_parity_and_type_follow_the_attached_form_not_m():
+    # m = 1 would say spin and S2xS2; the attached odd form says otherwise.
+    model = certified(build_Mkn(FamilyParams(2, 1)))
+    assert model.params.m == 1
+    parity, verdict = classify(replace(model, form=odd_diagonal_form(3, 3)))
+    assert (parity, verdict.type_name) == ("nonspin", "3(CP2#CP2bar)")
+    # An odd form of signature 2 is neither qH nor q<1> + q<-1>.
+    parity, verdict = classify(replace(model, form=odd_diagonal_form(4, 2)))
+    assert parity == "nonspin"
+    assert not verdict.classified
+    assert "4<1> + 2<-1>" in verdict.reason
 
 
 def test_classification_refuses_models_without_a_profile():
+    # Nontrivial H1: no form is attached, so the report reads no type.
     twisted = build_Mkn(FamilyParams(2, 1, 2, 3))
-    verdict = classify_homeomorphism(twisted)
+    assert twisted.form is None
+    record = report.run_family_model(FamilyParams(2, 1, 2, 3), 10_000)
+    assert record["sw"] is None
+    assert record["verdicts"]["homeomorphism"]["status"] == "not-applicable"
+    assert "spin" not in record["verdicts"]
+    # X_k carries a form but no pi1 certificate.
+    _, verdict = classify(build_Xk(2))
     assert not verdict.classified
-    base = build_Xk(2)
-    assert not classify_homeomorphism(base).classified
 
 
 # ---------------------------------------------------------------- irreducibility
@@ -208,33 +231,56 @@ def test_irreducibility_flags_foreign_differences():
 
 
 def test_different_twists_are_distinguished_by_the_value_multiset():
-    a = basic_classes(2, 1, 1)
-    b = basic_classes(2, 2, 1)
-    verdict = distinguish(a, b)
+    verdict = distinguish((1, 1), (2, 2))
     assert verdict.kind == "nondiffeomorphic"
     assert verdict.witness == ((1, 1), (2, 2))
-    assert verdict.tags == (symplectic_tag(1), symplectic_tag(2))
-    mirrored = distinguish(b, a)
+    mirrored = distinguish((2, 2), (1, 1))
     assert mirrored.kind == "nondiffeomorphic"
     assert mirrored.witness == ((2, 2), (1, 1))
 
 
 def test_equal_spectra_are_indistinguishable_by_this_invariant():
-    a = basic_classes(2, 2, 1)
-    b = basic_classes(2, 2, 1)
-    verdict = distinguish(a, b)
+    verdict = distinguish((2, 2), (2, 2))
     assert verdict.kind == "indistinguishable"
     assert verdict.witness is None
 
 
-def test_distinction_requires_comparable_types():
-    with pytest.raises(ContractError):
-        distinguish(basic_classes(2, 1, 1), basic_classes(3, 1, 1))
-    with pytest.raises(ContractError):
-        distinguish(basic_classes(2, 1, 1), basic_classes(2, 1, 2))
+def classified_record(n):
+    """A hand-built classified k = 2, m = 1 family record, as
+    `run_family_model` would write it."""
+    params = FamilyParams(2, n)
+    classes = basic_classes(2, n, 1)
+    return {
+        "name": params.name,
+        "symplectic": n == 1,
+        "sw": report._sw_record(classes),
+        "verdicts": {"homeomorphism": {"status": "classified", "type": "3(S2xS2)"}},
+    }
 
 
-def test_symplectic_tags():
-    assert symplectic_tag(1) == "symplectic"
-    assert symplectic_tag(2) == "nonsymplectic"
-    assert symplectic_tag(7) == "nonsymplectic"
+def test_pairwise_entries_read_the_records_without_recomputing_classes(monkeypatch):
+    records = [classified_record(n) for n in (1, 2, 3)]
+    calls = []
+    real = report.basic_classes
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(report, "basic_classes", counting)
+    entries = report._pairwise_records(records)
+    assert calls == []
+    names = [r["name"] for r in records]
+    assert [(e["a"], e["b"]) for e in entries] == [
+        (names[0], names[1]), (names[0], names[2]), (names[1], names[2]),
+    ]
+    assert all(e["homeomorphism_type"] == "3(S2xS2)" for e in entries)
+    assert all(e["verdict"] == "nondiffeomorphic" for e in entries)
+    assert [e["witness"] for e in entries] == [
+        [[1, 1], [2, 2]], [[1, 1], [3, 3]], [[2, 2], [3, 3]],
+    ]
+    assert [e["tags"] for e in entries] == [
+        ["symplectic", "nonsymplectic"],
+        ["symplectic", "nonsymplectic"],
+        ["nonsymplectic", "nonsymplectic"],
+    ]
