@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .coset import DEFAULT_LIMIT, EnumerationOutcome, enumerate_cosets
-from .intlinalg import AbelianInvariants, IntMatrix, abelian_invariants
+from .intlinalg import AbelianInvariants, FormType, IntMatrix, abelian_invariants
 from .presentations import Presentation, TietzeResult, tietze_simplify
 from .words import MAX_RELATOR_LENGTH, Word, commutator, gen, relator
 
@@ -122,11 +122,13 @@ class SurgeryMove:
 
 @dataclass(frozen=True)
 class ManifoldModel:
-    """An immutable (presentation, characteristic numbers, form) bundle.
+    """An immutable (presentation, characteristic numbers, form basis) bundle.
 
-    `form_basis` lists labeled geometrically-dual pairs; `form` is the
-    pairing matrix in that basis (one hyperbolic block per pair) or an
-    abstract representative when no labeled basis is attached.
+    `form_basis` lists labeled geometrically-dual pairs, and `form` is read
+    off it: the pairing matrix in that basis (one hyperbolic block per
+    pair), or None when no basis is attached.  No abstract representative
+    stands in for a missing basis; the form type of a transformed model is
+    `transformed_form`'s, not a matrix.
     `h1` is the abelianization of `presentation`.  `symplectic_flag` is a
     recorded input (True, False, or None when unknown), set by the builders
     of X_k, Z_k and the family members.  `certifications` records which
@@ -140,18 +142,19 @@ class ManifoldModel:
     char: CharNumbers
     h1: AbelianInvariants
     form_basis: tuple[tuple[str, str], ...] = ()
-    form: IntMatrix | None = None
     symplectic_flag: bool | None = None
     certifications: frozenset = frozenset()
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.form is not None and not self.form.is_symmetric():
-            raise ValueError("intersection pairing matrix must be symmetric")
         if self.char.b1 != self.h1.free_rank:
             raise ValueError(
                 f"b1 = {self.char.b1} disagrees with H1 free rank {self.h1.free_rank}"
             )
+
+    @property
+    def form(self) -> IntMatrix | None:
+        return hyperbolic_form(len(self.form_basis)) if self.form_basis else None
 
 
 def hyperbolic_form(blocks: int) -> IntMatrix:
@@ -164,13 +167,6 @@ def hyperbolic_form(blocks: int) -> IntMatrix:
         ],
         cols=n,
     )
-
-
-def odd_diagonal_form(b_plus: int, b_minus: int) -> IntMatrix:
-    """Diagonal form with b_plus entries +1 followed by b_minus entries -1."""
-    diag = [1] * b_plus + [-1] * b_minus
-    n = len(diag)
-    return IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
 
 def family_generators(k: int) -> tuple[str, ...]:
@@ -351,14 +347,12 @@ def build_Xk(k: int) -> ManifoldModel:
     presentation = Presentation(family_generators(k), relators)
     h1 = abelian_invariants(presentation)
     char = CharNumbers(4 * k, 0, 2 * k + 4)
-    basis = _xk_basis(k)
     return ManifoldModel(
         params=None,
         presentation=presentation,
         char=char,
         h1=h1,
-        form_basis=basis,
-        form=hyperbolic_form(len(basis)),
+        form_basis=_xk_basis(k),
         symplectic_flag=True,
     )
 
@@ -410,9 +404,10 @@ def build_Mkn(params: FamilyParams) -> ManifoldModel:
     m = 1; the symplectic flag n == 1, the one owner of the family's flag
     (n = 1 keeps the symplectic structure for every (p, r), n >= 2 provably
     destroys it through its basic-class count); the k = 1 note; and, when
-    p = r = 1 and H1 is trivial, the labeled (2k-1)-pair basis with its
-    hyperbolic form, from which the report reads the spin parity and the
-    homeomorphism type.  Full pi1 certification is still enumeration's job.
+    p = r = 1 and H1 is trivial, the labeled (2k-1)-pair basis, whose
+    pairing is the model's `form`; the report classifies it, checks it
+    against e, sigma and b1, and reads the spin parity and the homeomorphism
+    type off it.  Full pi1 certification is still enumeration's job.
     """
     params = replace(params, m=1)
     model = apply_schedule(build_Xk(params.k), schedule_Mkn(params))
@@ -422,8 +417,7 @@ def build_Mkn(params: FamilyParams) -> ManifoldModel:
                  "the surgered relation list is modeled for k >= 2 only",)
     model = replace(model, params=params, symplectic_flag=params.n == 1, notes=notes)
     if params.p == 1 and params.r == 1 and model.h1.trivial:
-        basis = _mkn_basis(params.k)
-        model = replace(model, form_basis=basis, form=hyperbolic_form(len(basis)))
+        model = replace(model, form_basis=_mkn_basis(params.k))
     return model
 
 
@@ -627,7 +621,10 @@ def apply_log_transform(model: ManifoldModel, m: int) -> ManifoldModel:
     complement, so pi1 stays trivial for every m and the characteristic
     numbers are preserved.  m = 1 is the identity by convention.  The
     presentation of the result is the certified-trivial one (filling a
-    simply connected complement adds no generators or relations).
+    simply connected complement adds no generators or relations).  The
+    result carries no form basis, so no `form`: its form type is
+    `transformed_form` of the certified model's, which holds the m-parity
+    rule.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParameterError(f"constraint violated: m >= 1 (got {m})")
@@ -641,26 +638,29 @@ def apply_log_transform(model: ManifoldModel, m: int) -> ManifoldModel:
             f"log transform refused: missing certificates {missing}; run verify_pi1 "
             "and verify_complement first"
         )
-    params = replace(model.params, m=m)
-    char = model.char
-    if m % 2 == 1:
-        form = hyperbolic_form(char.b2 // 2)
-        parity_note = "form even (spin): abstract hyperbolic representative attached"
-    else:
-        form = odd_diagonal_form(char.b2plus, char.b2 - char.b2plus)
-        parity_note = "form odd (nonspin): abstract diagonal representative attached"
     return replace(
         model,
-        params=params,
+        params=replace(model.params, m=m),
         presentation=Presentation((), ()),
         h1=AbelianInvariants((), 0),
         form_basis=(),
-        form=form,
         certifications=frozenset({PI1_TRIVIAL}),
         notes=model.notes
         + (
             "multiplicity-m transform on the certified simply connected complement; "
             "presentation replaced by the certified trivial one",
-            parity_note,
         ),
     )
+
+
+def transformed_form(form: FormType, m: int) -> FormType:
+    """The form type after the multiplicity-m transform of a model whose
+    form is `form`: rank and signature are kept, and the form turns odd
+    exactly when m is even, because w2 = (m-1)T mod 2 for the primitive
+    core-torus class T (the `torus-class-primitivity` ledger entry).  A form
+    of kind "other" keeps that kind: it may not be unimodular, and the
+    transform does not make it so."""
+    if m % 2 == 1:
+        return form
+    kind = "other" if form.kind == "other" else "odd"
+    return FormType(kind, form.rank, form.signature, "odd")

@@ -193,7 +193,7 @@ custom k=2 name=tweak
 end
 limit 20000
 """
-WIDE_SHA256 = "a0e1f9c11eeef6fcc09a4db877e85a56efdb3c9ab6fa32ca8883e09f369033e5"
+WIDE_SHA256 = "060e312cc41d216a70fcccf6754bc1201390578dd89e181ab857da73a6824ce7"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

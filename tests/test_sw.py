@@ -5,15 +5,17 @@ from dataclasses import replace
 import pytest
 
 from exotic4 import report, sw
-from exotic4.intlinalg import classify_form
+from exotic4.intlinalg import FormType, classify_form
 from exotic4.manifolds import (
     COMPLEMENT_TRIVIAL,
     PI1_TRIVIAL,
+    CharNumbers,
     FamilyParams,
     apply_log_transform,
     build_Mkn,
     build_Xk,
-    odd_diagonal_form,
+    hyperbolic_form,
+    transformed_form,
 )
 from exotic4.sw import (
     ClassVector,
@@ -126,11 +128,12 @@ def test_basic_classes_validate_parameters():
 # ---------------------------------------------------------------- parity and type
 
 
-def classify(model):
-    """The spin parity and the homeomorphism verdict, both read off the
-    model's classified form, as the report reads them."""
-    form = classify_form(model.form)
-    return spin_parity(form), classify_homeomorphism(model, form)
+def classify(model, m=1):
+    """The spin parity and the homeomorphism verdict of the multiplicity-m
+    transform of `model`, both read off the classified form of its labeled
+    basis through `transformed_form`, as the report reads them."""
+    form = transformed_form(classify_form(model.form), m)
+    return spin_parity(form), classify_homeomorphism(apply_log_transform(model, m), form)
 
 
 def test_classification_needs_the_certificate():
@@ -142,23 +145,19 @@ def test_classification_needs_the_certificate():
 
 
 def certified_family():
-    """Certified M(2,1), its m = 2 and m = 3 transforms, and certified M(3,2)."""
+    """Certified M(2,1) with m = 1, 2, 3, and certified M(3,2) with m = 1."""
     model = certified(build_Mkn(FamilyParams(2, 1)))
-    return [
-        model,
-        apply_log_transform(model, 2),
-        apply_log_transform(model, 3),
-        certified(build_Mkn(FamilyParams(3, 2))),
-    ]
+    other = certified(build_Mkn(FamilyParams(3, 2)))
+    return [(model, 1), (model, 2), (model, 3), (other, 1)]
 
 
 def test_spin_parity_follows_multiplicity():
-    parities = [classify(model)[0] for model in certified_family()]
+    parities = [classify(model, m)[0] for model, m in certified_family()]
     assert parities == ["spin", "nonspin", "spin", "spin"]
 
 
 def test_classification_of_certified_models():
-    verdicts = [classify(model)[1] for model in certified_family()]
+    verdicts = [classify(model, m)[1] for model, m in certified_family()]
     assert all(v.classified for v in verdicts)
     assert [v.type_name for v in verdicts] == [
         "3(S2xS2)", "3(CP2#CP2bar)", "3(S2xS2)", "5(S2xS2)",
@@ -166,16 +165,48 @@ def test_classification_of_certified_models():
 
 
 def test_parity_and_type_follow_the_attached_form_not_m():
-    # m = 1 would say spin and S2xS2; the attached odd form says otherwise.
+    # m = 1 would say spin and S2xS2; the odd form given says otherwise.
     model = certified(build_Mkn(FamilyParams(2, 1)))
     assert model.params.m == 1
-    parity, verdict = classify(replace(model, form=odd_diagonal_form(3, 3)))
-    assert (parity, verdict.type_name) == ("nonspin", "3(CP2#CP2bar)")
+    odd = FormType("odd", 6, 0, "odd")
+    assert spin_parity(odd) == "nonspin"
+    assert classify_homeomorphism(model, odd).type_name == "3(CP2#CP2bar)"
     # An odd form of signature 2 is neither qH nor q<1> + q<-1>.
-    parity, verdict = classify(replace(model, form=odd_diagonal_form(4, 2)))
-    assert parity == "nonspin"
+    skew = FormType("odd", 6, 2, "odd")
+    assert spin_parity(skew) == "nonspin"
+    verdict = classify_homeomorphism(model, skew)
     assert not verdict.classified
     assert "4<1> + 2<-1>" in verdict.reason
+
+
+def test_transformed_form_is_the_one_owner_of_the_m_parity_rule(monkeypatch):
+    form = classify_form(hyperbolic_form(3))
+    assert [str(transformed_form(form, m)) for m in (1, 2, 3, 4)] == [
+        "3H", "3<1> + 3<-1>", "3H", "3<1> + 3<-1>",
+    ]
+    # A form that may not be unimodular does not become one.
+    assert transformed_form(FormType("other", 6, 0, "even"), 2).kind == "other"
+    # The transform attaches no form of its own.
+    assert apply_log_transform(certified(build_Mkn(FamilyParams(2, 1))), 2).form is None
+    # The report reads the m = 2 parity and type from this one rule.
+    monkeypatch.setattr(report, "transformed_form", lambda form, m: form)
+    record = report.run_family_model(FamilyParams(2, 1, 1, 1, 2), 60_000)
+    assert record["verdicts"]["homeomorphism"]["type"] == "3(S2xS2)"
+    assert record["verdicts"]["spin"]["parity"] == "spin"
+
+
+def test_the_form_verdict_fails_when_the_basis_disagrees_with_b2(monkeypatch):
+    # The basis spans rank 6, but e + 2 makes b2 = 8: the verdict fails.
+    real = report.build_Mkn
+
+    def shifted(params):
+        m = real(params)
+        return replace(m, char=CharNumbers(m.char.e + 2, m.char.sigma, m.char.b1))
+
+    monkeypatch.setattr(report, "build_Mkn", shifted)
+    record = report.run_family_model(FamilyParams(2, 1), 60_000)
+    assert record["verdicts"]["form"]["status"] == "fail"
+    assert record["passed"] is False
 
 
 def test_classification_refuses_models_without_a_profile():
@@ -187,8 +218,8 @@ def test_classification_refuses_models_without_a_profile():
     assert record["verdicts"]["homeomorphism"]["status"] == "not-applicable"
     assert "spin" not in record["verdicts"]
     # X_k carries a form but no pi1 certificate.
-    _, verdict = classify(build_Xk(2))
-    assert not verdict.classified
+    base = build_Xk(2)
+    assert not classify_homeomorphism(base, classify_form(base.form)).classified
 
 
 # ---------------------------------------------------------------- irreducibility
