@@ -1,8 +1,9 @@
 """Todd-Coxeter coset enumeration over a subgroup given by words.
 
 HLT-style relator tracing (Haselgrove-Leech-Trotter: define cosets to close
-every relator scan) with one lookahead pass each time the table fills, as
-presented in Holt, "Handbook of Computational Group Theory", section 5.2.
+every relator scan) with a lookahead pass each time the live count reaches a
+soft ceiling, as presented in Holt, "Handbook of Computational Group
+Theory", section 5.2.
 Table columns are the letters of `presentations.word_letters`: generator
 i is column 2i and its inverse 2i+1.  Coincidences are handled by union-find
 with path compression, keeping the smallest coset id as survivor.
@@ -52,6 +53,16 @@ to it.  A closed trace stays closed through coincidences, because an edge
 c -> d always survives as rep(c) -> rep(d), so tracing it again would
 define, deduce and merge nothing.
 
+The soft ceiling runs lookahead long before the table reaches `limit`, so
+a table that collapses does so while small.  It starts at min(limit,
+SOFT_START), and after each lookahead pass it doubles, capped at `limit`,
+while more than half of it is live.  Start and growth depend on counts
+only, so results and counters are exact and repeatable.  The ceiling is not
+an outcome: when it has reached `limit`, a pass that leaves `limit` cosets
+live ends the enumeration, as a full table always did, and below `limit` a
+pass always leaves room.  An enumeration whose limit is at most SOFT_START
+runs exactly as with a ceiling at `limit`.
+
 Hitting the coset limit is an outcome, not an error: callers receive
 LimitExceeded and decide what to do.  So is hitting the work bound of
 WORK_BOUND * limit definitions, which is what ends an enumeration whose
@@ -72,8 +83,12 @@ DEFAULT_LIMIT = 1_000_000
 # `limit` cosets, whatever the live count.  A completed run needs more
 # definitions per unit of limit the larger its index and the nearer its limit
 # to the smallest one that completes; the most measured on the family models
-# is 6.79 (pi1 of order 16), and 12 leaves a margin of 1.5 or more over it.
+# is 6.77 (pi1 of order 16), and 12 leaves a margin of 1.5 or more over it.
 WORK_BOUND = 12
+# The soft ceiling's start (see the module docstring).  It lies below the
+# smallest limits at which the M(2,1) complement (12,245) and pi1 (51,130)
+# complete, so both collapse from a table far smaller than the default limit.
+SOFT_START = 10_000
 
 
 @dataclass(frozen=True)
@@ -146,6 +161,7 @@ class _Enumerator:
             w = tuple(map(ord, s))
             self.subgroup.append((w, tuple(x ^ 1 for x in w), None, None, len(w) - 1))
         self.limit = limit
+        self.soft = min(limit, SOFT_START)
         self.max_definitions = WORK_BOUND * limit
         self.table: list[list[int | None]] = [[None] * self.ncols]
         # mask[c] has bit x set whenever table[c][x] is defined (see above),
@@ -174,10 +190,10 @@ class _Enumerator:
 
     def define(self, a: int, x: int) -> int:
         """Define a new coset b = a.x and return it; raise _Overflow when
-        the table holds `limit` live cosets or `WORK_BOUND * limit` cosets
+        the table holds `soft` live cosets or `WORK_BOUND * limit` cosets
         have been defined."""
         live = self.live
-        if live >= self.limit or self.definitions >= self.max_definitions:
+        if live >= self.soft or self.definitions >= self.max_definitions:
             raise _Overflow
         table = self.table
         b = len(table)
@@ -293,8 +309,10 @@ class _Enumerator:
 
     def _lookahead(self, start: int) -> bool:
         """Trace every relator at every live coset from `start` on without
-        defining, hoping coincidences free enough room to continue.  Returns
-        whether the table has room for another coset.
+        defining, hoping coincidences free enough room to continue.  Then
+        double the soft ceiling, capped at `limit`, while more than half of
+        it is live.  Returns whether the table has room for another coset,
+        which below `limit` it always has.
 
         Cosets below `start` are skipped: HLT has scanned each of them
         closed, and a closed trace stays closed through coincidences, so
@@ -357,6 +375,8 @@ class _Enumerator:
                         rels = eligible[m]
                         rels = rels[rels.index(rel) + 1:]
                         break
+        while self.live > self.soft // 2 and self.soft < self.limit:
+            self.soft = min(2 * self.soft, self.limit)
         return self.live < self.limit
 
     def run(self) -> Completed | LimitExceeded:
@@ -404,9 +424,11 @@ def enumerate_cosets(
     closed under every relator, which happens for a finite index given a
     large enough limit.
 
-    LimitExceeded is returned when a definition is due with `limit` cosets
-    live and the lookahead pass that follows still leaves `limit` cosets
-    live, or when a definition is due after WORK_BOUND * limit of them.
+    A lookahead pass runs whenever a definition is due with the soft
+    ceiling's count of cosets live: min(limit, SOFT_START) at first, then
+    doubled after a pass, up to `limit`, while more than half of it is live.
+    LimitExceeded is returned when a pass leaves `limit` cosets live, or
+    when a definition is due after WORK_BOUND * limit of them.
     The second rule makes every enumeration end, after at most that many
     definitions: without it, an infinite index whose coincidences keep the
     live count below `limit` keeps defining cosets without end, as M(2,1)

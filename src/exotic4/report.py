@@ -469,7 +469,6 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
             "parity": form.parity,
             "rank": form.rank,
             "signature": form.signature,
-            "basis_pairs": len(model.form_basis),
         }
     else:
         verdicts["form"] = {

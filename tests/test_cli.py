@@ -193,7 +193,7 @@ custom k=2 name=tweak
 end
 limit 20000
 """
-WIDE_SHA256 = "060e312cc41d216a70fcccf6754bc1201390578dd89e181ab857da73a6824ce7"
+WIDE_SHA256 = "0305f5f5370e840053caec2a34b7133cfc46a8fe55f25e676f9cbb34c2e8855e"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

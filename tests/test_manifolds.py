@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from exotic4 import manifolds, report
-from exotic4.coset import Completed, EnumerationOutcome, LimitExceeded
+from exotic4.coset import DEFAULT_LIMIT, Completed, EnumerationOutcome, LimitExceeded
 from exotic4.presentations import Presentation
 from exotic4.words import MAX_RELATOR_LENGTH, commutator, gen, parse_relation
 from exotic4.intlinalg import AbelianInvariants, abelian_invariants, classify_form
@@ -349,23 +349,26 @@ def test_models_and_verdicts_copy_and_pickle():
 # at limit 51,130 but not at 51,129.  Its complement, enumerated over <b2>,
 # collapses at 12,245 but not at 12,244, and at every limit sampled above
 # that (every 100 up to 20,000, every 1,000 up to 61,000): 47,000, where it
-# failed over the trivial subgroup, now completes.  Rows are (definitions,
-# coincidences, max_live, lookahead passes).
+# failed over the trivial subgroup, now completes.  From 40,000 on, the
+# default limit included, it collapses at the soft ceiling's third pass, from
+# a table of 40,000; at 12,244 it still fills the table to the limit.  Rows
+# are (definitions, coincidences, max_live, lookahead passes).
 @pytest.fixture(scope="module")
 def threshold_outcomes():
     """(verify, limit, expected result, expected counts, outcome) rows."""
     model = build_Mkn(FamilyParams(2, 1))
     cases = [
-        (verify_pi1, 51_129, LimitExceeded(51_129), (65_604, 14_476, 51_129, 7)),
-        (verify_pi1, 51_130, Completed(1), (125_058, 125_058, 51_130, 9)),
-        (verify_pi1, 60_000, Completed(1), (135_686, 135_686, 60_000, 7)),
-        (verify_complement, 12_000, LimitExceeded(12_000), (12_898, 899, 12_000, 7)),
-        (verify_complement, 12_244, LimitExceeded(12_244), (14_371, 2_128, 12_244, 8)),
-        (verify_complement, 12_245, Completed(1), (37_056, 37_056, 12_245, 15)),
-        (verify_complement, 13_000, Completed(1), (38_553, 38_553, 13_000, 8)),
-        (verify_complement, 47_000, Completed(1), (92_659, 92_659, 47_000, 2)),
-        (verify_complement, 51_129, Completed(1), (93_425, 93_425, 51_129, 2)),
-        (verify_complement, 60_000, Completed(1), (95_622, 95_622, 60_000, 2)),
+        (verify_pi1, 51_129, LimitExceeded(51_129), (64_651, 13_523, 51_129, 8)),
+        (verify_pi1, 51_130, Completed(1), (124_110, 124_110, 51_130, 10)),
+        (verify_pi1, 60_000, Completed(1), (134_506, 134_506, 60_000, 10)),
+        (verify_complement, 12_000, LimitExceeded(12_000), (12_821, 822, 12_000, 7)),
+        (verify_complement, 12_244, LimitExceeded(12_244), (14_280, 2_037, 12_244, 8)),
+        (verify_complement, 12_245, Completed(1), (36_965, 36_965, 12_245, 15)),
+        (verify_complement, 13_000, Completed(1), (38_447, 38_447, 13_000, 9)),
+        (verify_complement, 47_000, Completed(1), (83_516, 83_516, 40_000, 3)),
+        (verify_complement, 51_129, Completed(1), (83_516, 83_516, 40_000, 3)),
+        (verify_complement, 60_000, Completed(1), (83_516, 83_516, 40_000, 3)),
+        (verify_complement, DEFAULT_LIMIT, Completed(1), (83_516, 83_516, 40_000, 3)),
     ]
     return [
         (verify, limit, result, counts, verify(model, limit=limit).enumeration)
@@ -457,7 +460,7 @@ def test_one_enumeration_certifies_pi1_and_the_complement(monkeypatch):
     assert pi1["enumerated"] == "complement"
     assert pi1["enumeration"] == comp["enumeration"] == {
         "result": "completed", "index": 1,
-        "definitions": 95_622, "coincidences": 95_622, "max_live": 60_000,
+        "definitions": 83_516, "coincidences": 83_516, "max_live": 40_000,
     }
     assert (comp["subgroup"], comp["h1"]) == ("b2", "0")
     # p.r = 0 and k = 1 models enumerate nothing.
@@ -477,7 +480,7 @@ def test_complement_certificate_below_the_pi1_threshold(monkeypatch):
     assert (pi1["status"], pi1["enumerated"]) == ("pass", "complement")
     assert pi1["enumeration"] == record["verdicts"]["complement"]["enumeration"] == {
         "result": "completed", "index": 1,
-        "definitions": 93_425, "coincidences": 93_425, "max_live": 51_129,
+        "definitions": 83_516, "coincidences": 83_516, "max_live": 40_000,
     }
     assert record["certifications"] == [COMPLEMENT_TRIVIAL, PI1_TRIVIAL]
     assert record["verdicts"]["homeomorphism"]["type"] == "3(S2xS2)"
@@ -495,7 +498,7 @@ def test_failed_complement_falls_back_to_the_direct_pi1_run(monkeypatch):
     assert (pi1["status"], pi1["enumerated"]) == ("fail", "as-built")
     assert pi1["enumeration"] == {
         "result": "limit-exceeded", "cosets_used": 12_000,
-        "definitions": 12_709, "coincidences": 710, "max_live": 12_000,
+        "definitions": 12_681, "coincidences": 682, "max_live": 12_000,
     }
     assert record["verdicts"]["complement"] == {
         "status": "fail",
@@ -503,11 +506,11 @@ def test_failed_complement_falls_back_to_the_direct_pi1_run(monkeypatch):
         "h1": "0",
         "enumeration": {
             "result": "limit-exceeded", "cosets_used": 12_000,
-            "definitions": 12_898, "coincidences": 899, "max_live": 12_000,
+            "definitions": 12_821, "coincidences": 822, "max_live": 12_000,
         },
     }
     digest = hashlib.sha256(report.render_json(record).encode()).hexdigest()
-    assert digest == "2877099508a33e6e657284761a66e9fa7563aa4e58ab028a498c28e5040f5fe2"
+    assert digest == "91b1ed3e4a4d627c9eb33aee3e43e5d98abdf8fbb14ac8c47c410b3a9f915454"
 
 
 def test_pi1_refuses_a_certificate_that_is_not_a_quotient():
