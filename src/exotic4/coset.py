@@ -1,9 +1,10 @@
 """Todd-Coxeter coset enumeration over a subgroup given by words.
 
 HLT-style relator tracing (Haselgrove-Leech-Trotter: define cosets to close
-every relator scan) with a lookahead pass each time the live count reaches a
-soft ceiling, as presented in Holt, "Handbook of Computational Group
-Theory", section 5.2.
+every relator scan) that processes the deductions of its scans, with a
+lookahead pass each time the live count reaches a soft ceiling, as presented
+in Holt, "Handbook of Computational Group Theory", sections 5.2 and 5.3, and
+in the ACE enumerator of Havas and Ramsay.
 Table columns are the letters of `presentations.word_letters`: generator
 i is column 2i and its inverse 2i+1.  Coincidences are handled by union-find
 with path compression, keeping the smallest coset id as survivor.
@@ -26,15 +27,33 @@ the union-find parents `p` are `coincidence`'s own bookkeeping.  Only
 Each coset id c also has a column mask, mask[c]: bit x is set whenever
 table[c][x] is defined, and bits are never cleared, so a mask is a superset
 of the defined columns.  Every write of a table entry sets its bit:
-`define`, deductions in `scan` and in lookahead, merges in `coincidence`.  A
-coincidence can clear an entry of a live row for a moment and refill it
-later; the stale bit that leaves behind is harmless, because every reader of
-a mask still reads the entry itself and skips None.  A coincidence drains a
+`define`, deductions in `scan`, `deduce` and lookahead, merges in
+`coincidence`.  A coincidence can clear an entry of a live row for a moment
+and refill it later; a stale bit is harmless, because every reader of a
+mask still reads the entry itself and skips None.  A coincidence drains a
 dead row over its mask's columns only: that walk meets the same entries in
 the same order as one over the whole row, because a row being drained only
 loses entries (see `coincidence`).  Masks live in an array("I") up to 32
 columns, an array("Q") up to 64, and a list of Python ints beyond; all three
 go through the same code.
+
+When a scan closes a relator with a one-letter gap, the entry it fills is
+queued, and after each scan `deduce` drains the queue.  For each queued
+entry a.x whose coset is still live, it traces at a, without defining, every
+cyclic conjugate of every relator and of every relator's inverse that starts
+with x.  A one-letter gap is filled and queued in turn; a closed trace that
+meets two cosets is a coincidence, whose merges queue every entry they
+write.  These are the operations of a lookahead trace, so every entry filled
+is forced by a relator and every merge is a real coincidence; and
+`Completed` still needs HLT to scan every live coset closed, so deductions
+change how soon a table collapses, not what a result proves.  Every relator
+cycle through an edge, in either direction, is one of those conjugates read
+from the edge's start, and every entry a trace can newly meet while the
+queue drains is queued too.  So when `deduce` returns, every conjugate
+through an entry it traced at a live coset closes there or leaves a gap of
+two or more letters.  Coincidences found by `scan` and lookahead queue
+nothing; the entry a.x of a queued live coset is defined, because a
+coincidence refills every entry of a survivor that it clears.
 
 A lookahead pass skips the trace of relator w (length >= 2) at coset a when
 both a.w[0] and a.w[-1]^-1 are undefined: the forward trace then stops at
@@ -82,12 +101,14 @@ DEFAULT_LIMIT = 1_000_000
 # An enumeration returns LimitExceeded once it has defined WORK_BOUND times
 # `limit` cosets, whatever the live count.  A completed run needs more
 # definitions per unit of limit the larger its index and the nearer its limit
-# to the smallest one that completes; the most measured on the family models
-# is 6.77 (pi1 of order 16), and 12 leaves a margin of 1.5 or more over it.
+# to the lowest one that completes; the most measured on the family models
+# is 1.78 (pi1 of order 16; 6.77 before deductions were processed), so 12
+# leaves a wide margin.
 WORK_BOUND = 12
 # The soft ceiling's start (see the module docstring).  It lies below the
-# smallest limits at which the M(2,1) complement (12,245) and pi1 (51,130)
-# complete, so both collapse from a table far smaller than the default limit.
+# lowest limits at which the M(2,1) complement (12,237) and pi1 (44,486) were
+# seen to complete, so both collapse from a table far smaller than the
+# default limit.
 SOFT_START = 10_000
 
 
@@ -181,6 +202,30 @@ class _Enumerator:
         )
         ncols = self.ncols
         self.columns = _Memo(lambda m: tuple(x for x in range(ncols) if m >> x & 1))
+        # deducible[x] maps mask[d] << ncols | mask[a], for an edge a.x = d,
+        # to the records (w, inv, len(w) - 1, w[-1]^-1) of the distinct
+        # cyclic conjugates w of the relators and of their inverses that
+        # start with x and are worth tracing at a (see `deduce`).
+        conjugates = [{} for _ in range(ncols)]
+        for w, inv, *_ in relators:
+            for v in (w, inv[::-1]):
+                for k in range(len(v)):
+                    conjugates[v[k]].setdefault(v[k:] + v[:k])
+
+        def deducible(words):
+            records = [
+                (
+                    (v, tuple(y ^ 1 for y in v), len(v) - 1, v[-1] ^ 1),
+                    1 << (v[1] + ncols) | 1 << (v[-1] ^ 1) if len(v) > 2 else -1,
+                )
+                for v in words
+            ]
+            return _Memo(lambda key: tuple(rec for rec, bits in records if key & bits))
+
+        self.deducible = [deducible(words) for words in conjugates]
+        # The entries (a, x) written by scan deductions and by `deduce`, not
+        # yet traced by `deduce`.
+        self.deductions = []
         self.p = [0]
         self.live = 1
         self.definitions = 0
@@ -210,7 +255,7 @@ class _Enumerator:
             self.max_live = live
         return b
 
-    def coincidence(self, a: int, b: int):
+    def coincidence(self, a: int, b: int, deduced: list | None = None):
         """Merge cosets a and b and every coincidence that follows.  A merge
         queues the larger root; draining a queued coset's row moves each of
         its edges onto the survivors, queueing further merges.
@@ -223,6 +268,9 @@ class _Enumerator:
         both are live representatives.  A merge sets the bits of the entries
         it writes; nu's bit y is already set when nu is d, whose entry y
         pointed at the dead coset.
+
+        When `deduced` is given, each entry mu.x = nu a merge writes is
+        appended to it.
 
         a and b must be distinct live cosets."""
         table, p, mask, columns = self.table, self.p, self.mask, self.columns
@@ -267,6 +315,8 @@ class _Enumerator:
                     mask[mu] |= 1 << x
                     if nu != d:
                         mask[nu] |= 1 << y
+                    if deduced is not None:
+                        deduced.append((mu, x))
                     continue
                 if p[e] != e:
                     e = rep(e)
@@ -281,7 +331,7 @@ class _Enumerator:
 
     def scan(self, a: int, rel: tuple):
         """Trace relator record rel at coset a, defining cosets to close the
-        scan."""
+        scan.  An entry it deduces is queued for `deduce`."""
         w, inv, _, _, j = rel
         table, mask = self.table, self.mask
         f, i = a, 0
@@ -304,8 +354,52 @@ class _Enumerator:
                 table[b][inv[i]] = f
                 mask[f] |= 1 << w[i]
                 mask[b] |= 1 << inv[i]
+                self.deductions.append((f, w[i]))
                 return
             f, i = self.define(f, w[i]), i + 1
+
+    def deduce(self):
+        """Drain the deduction queue.  For each queued entry a.x = d whose
+        coset a is still live, trace at a, without defining, every relator
+        conjugate w that starts with x.  A one-letter gap is filled and the
+        entry queued; a closed trace that meets two cosets is a coincidence,
+        and each entry its merges write is queued.
+
+        The conjugates come from deducible[x] under the masks of d and a.
+        A conjugate of length 3 or more with d.w[1] and a.w[-1]^-1 both
+        undefined stops forwards at i = 1 and backwards at j = len(w) - 1,
+        a gap of two or more letters, so its trace could neither deduce nor
+        coincide; a stale bit only lets such a trace through.  The list is
+        read once per entry: a conjugate it skipped can only come to need a
+        trace through an entry written since, and that entry is queued."""
+        table, mask, queue, deducible = self.table, self.mask, self.deductions, self.deducible
+        ncols = self.ncols
+        while queue:
+            a, x = queue.pop()
+            row = table[a]
+            if row is None:
+                continue
+            d = row[x]
+            for w, inv, end, last in deducible[x][mask[d] << ncols | mask[a]]:
+                f, i = d, 1
+                while i <= end and (e := table[f][w[i]]) is not None:
+                    f, i = e, i + 1
+                b, j = a, end
+                if i <= end and (e := row[last]) is not None:
+                    b, j = e, end - 1
+                    while j >= i and (e := table[b][inv[j]]) is not None:
+                        b, j = e, j - 1
+                if i == j:
+                    table[f][w[i]] = b
+                    table[b][inv[i]] = f
+                    mask[f] |= 1 << w[i]
+                    mask[b] |= 1 << inv[i]
+                    queue.append((f, w[i]))
+                elif j < i and f != b:
+                    self.coincidence(f, b, queue)
+                    if table[a] is None:
+                        break
+                    d = row[x]
 
     def _lookahead(self, start: int) -> bool:
         """Trace every relator at every live coset from `start` on without
@@ -393,8 +487,12 @@ class _Enumerator:
                     # (rescanning a closed trace is harmless).
                     for rec in self.subgroup:
                         self.scan(0, rec)
+                        if self.deductions:
+                            self.deduce()
                 for rel in self.relators:
                     self.scan(ptr, rel)
+                    if self.deductions:
+                        self.deduce()
                     if table[ptr] is None:
                         break
                 else:

@@ -16,6 +16,7 @@ complement must first be certified simply connected) produces M(k, n, m).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -154,7 +155,45 @@ class ManifoldModel:
 
     @property
     def form(self) -> IntMatrix | None:
-        return hyperbolic_form(len(self.form_basis)) if self.form_basis else None
+        """The pairing matrix of `form_basis`, computed from its labels.
+
+        A label s[x x y] is the product class of x on Sigma_2 and y on
+        Sigma_{2k+1}, with sign s.  Two of them pair by
+        (x x y).(x' x y') = (-1)^(deg y * deg x') (x.x')(y.y'), so
+        (a x c).(b x d) = -(a.b)(c.d) for curves; on a surface a_i.b_i =
+        c_j.d_j = 1 = -(b_i.a_i) = -(d_j.c_j) and pt.Sigma = Sigma.pt = 1.
+        X_k's lifted labels, such as "[(a1~ a2~) x ct]", name no product
+        class; its basis is read as the dual pairs it lists."""
+        if not self.form_basis:
+            return None
+        labels = [label for pair in self.form_basis for label in pair]
+        parsed = [re.fullmatch(r"(-?)\[(\w+) x (\w+)\]", label) for label in labels]
+        if not all(parsed):
+            return hyperbolic_form(len(self.form_basis))
+
+        def degree(name):
+            return 0 if name == "pt" else 2 if name.startswith("Sigma") else 1
+
+        def pairing(u, v):
+            du, dv = degree(u), degree(v)
+            if du + dv != 2:
+                return 0
+            if du != 1:
+                return 1
+            if u[1:] != v[1:]:
+                return 0
+            return {"ab": 1, "ba": -1, "cd": 1, "dc": -1}.get(u[0] + v[0], 0)
+
+        classes = [(-1 if m[1] else 1, m[2], m[3]) for m in parsed]
+        return IntMatrix(
+            [
+                [
+                    s * t * (-1) ** (degree(y) * degree(u)) * pairing(x, u) * pairing(y, v)
+                    for t, u, v in classes
+                ]
+                for s, x, y in classes
+            ]
+        )
 
 
 def hyperbolic_form(blocks: int) -> IntMatrix:

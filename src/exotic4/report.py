@@ -35,6 +35,7 @@ from .manifolds import (
     build_Mkn,
     build_Xk,
     family_generators,
+    hyperbolic_form,
     transformed_form,
     verify_complement,
     verify_pi1,
@@ -437,10 +438,13 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
         }
 
     # The labeled basis's form is classified once, before the transform
-    # drops the basis; `transformed_form` holds the m-parity rule.
-    form = None if model.form is None else transformed_form(
-        classify_form(model.form), params.m
-    )
+    # drops the basis; `transformed_form` holds the m-parity rule.  The
+    # labels claim dual pairs, so their computed pairing must also be one
+    # hyperbolic block per pair.
+    pairing, form = model.form, None
+    if pairing is not None:
+        form = transformed_form(classify_form(pairing), params.m)
+        dual = pairing == hyperbolic_form(len(model.form_basis))
     if params.m >= 2:
         try:
             model = apply_log_transform(model, params.m)
@@ -462,7 +466,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
         # and signature sigma, the numbers read off e, sigma and the SNF's
         # b1.  An m >= 2 form is derived by the transform's parity rule.
         c = model.char
-        matches = form.kind != "other" and (form.rank, form.signature) == (c.b2, c.sigma)
+        matches = dual and form.kind != "other" and (form.rank, form.signature) == (c.b2, c.sigma)
         verdicts["form"] = {
             "status": ("pass" if params.m == 1 else "derived") if matches else "fail",
             "classification": str(form),

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from _oracles import reference_lookahead
-from exotic4.manifolds import FamilyParams, build_Mkn
+from exotic4.manifolds import FamilyParams, build_Mkn, complement_presentation
 from exotic4.words import Word, commutator, gen, parse_relation
 from exotic4.presentations import Presentation, tietze_simplify, word_letters
 from exotic4.coset import (
@@ -34,6 +34,8 @@ FREE2 = Presentation(("a", "b"), ())
 # A balanced presentation of the trivial group that generator elimination
 # cannot finish: every generator occurs repeatedly in each relator.
 STUBBORN = pres(["x", "y"], "x^2 = y^3", "x*y*x = y*x*y")
+# Higman's three-generator presentation of the trivial group.
+HIGMAN3 = pres(["a", "b", "c"], "b^-1*a*b = a^2", "c^-1*b*c = b^2", "a^-1*c*a = c^2")
 
 
 @pytest.mark.parametrize(
@@ -63,31 +65,32 @@ def test_infinite_group_hits_the_limit():
 
 
 def test_work_is_bounded_when_coincidences_keep_the_table_below_the_limit():
-    # M(2,1) with p = 0, r = 1 has infinite pi1.  At 100,000 its sixth
-    # lookahead pass (the second with the soft ceiling at the limit) frees
-    # almost every coset, and HLT then defines cosets that coincidences keep
-    # reclaiming below the limit, without end.  The work bound stops it at
-    # WORK_BOUND * limit definitions, and no more ids than that are ever
-    # made.
+    # M(2,1) with p = 0, r = 1 has infinite pi1.  At 100,000 lookahead runs
+    # at soft ceilings of 10,000, 20,000 and 40,000; from then on HLT defines
+    # cosets that coincidences keep reclaiming, mostly while deductions are
+    # processed, and the table never again reaches the ceiling of 80,000, let
+    # alone the limit.  Without end: the work bound stops it at WORK_BOUND *
+    # limit definitions, and no more ids than that are ever made.
     m2101 = build_Mkn(FamilyParams(2, 1, 0, 1)).presentation
     enum = _Enumerator(m2101, 100_000)
     result = enum.run()
     assert isinstance(result, LimitExceeded) and result.cosets_used < 100_000
     assert enum.definitions == WORK_BOUND * 100_000 == len(enum.table) - 1
-    assert enum.max_live == 100_000 and enum.lookahead_passes == 6
+    assert enum.max_live == 43_086 and enum.lookahead_passes == 3
     assert sum(row is not None for row in enum.table) == enum.live <= 100_000
 
 
 def test_the_work_bound_leaves_room_above_the_hardest_completed_runs():
     # A completed run needs more definitions per unit of limit the larger its
-    # index and the nearer its limit to the smallest one that completes.  Of
-    # the family models measured, M(2,1,4,4) (pi1 of order 16) at 64,000
-    # needs the most, 6.77 x limit; M(3,1,2,2) at 100,000 is perfbench's
-    # finite-index-k3 workload.  Both complete, with the bound at least 1.5
-    # times their need.
+    # index and the nearer its limit to the lowest one that completes.  Of
+    # the family models measured, M(2,1,4,4) (pi1 of order 16) needs the
+    # most, 1.78 x limit at 53,400, and 1.42 x limit at 64,000; M(3,1,2,2)
+    # at 100,000 is perfbench's finite-index-k3 workload.  All complete, far
+    # inside the bound.
     cases = [
-        (FamilyParams(3, 1, 2, 2), 100_000, Completed(4), 376_991),
-        (FamilyParams(2, 1, 4, 4), 64_000, Completed(16), 433_131),
+        (FamilyParams(3, 1, 2, 2), 100_000, Completed(4), 106_735),
+        (FamilyParams(2, 1, 4, 4), 64_000, Completed(16), 90_731),
+        (FamilyParams(2, 1, 4, 4), 53_400, Completed(16), 95_292),
     ]
     for params, limit, result, definitions in cases:
         outcome = enumerate_cosets(build_Mkn(params).presentation, limit)
@@ -190,17 +193,19 @@ def test_stats_are_recorded():
     # (definitions, coincidences, max_live) and the lookahead pass count are
     # exact and hardware-independent.
     cases = [
-        (S3, DEFAULT_LIMIT, Completed(6), (7, 2, 8), 0),
+        (S3, DEFAULT_LIMIT, Completed(6), (6, 1, 7), 0),
         (Q8, DEFAULT_LIMIT, Completed(8), (7, 0, 8), 0),
         (Z5, DEFAULT_LIMIT, Completed(5), (4, 0, 5), 0),
-        # Just below and at the limit where a lookahead pass collapses.
+        # Just below and at the limit where a run completes: STUBBORN's
+        # through a lookahead pass that collapses, S3's without a pass.
         (STUBBORN, 13, LimitExceeded(13), (12, 0, 13), 1),
         (STUBBORN, 14, Completed(1), (14, 14, 14), 1),
         (S3, 6, LimitExceeded(6), (5, 0, 6), 1),
-        (S3, 7, Completed(6), (6, 1, 7), 1),
+        (S3, 7, Completed(6), (6, 1, 7), 0),
         # Several passes, and a resume after a pass that freed rows.
-        (A5, 60, LimitExceeded(60), (69, 10, 60), 3),
-        (A5, 61, Completed(60), (69, 10, 61), 2),
+        (A5, 59, LimitExceeded(59), (66, 8, 59), 3),
+        (A5, 60, LimitExceeded(60), (66, 7, 60), 2),
+        (A5, 61, Completed(60), (69, 10, 61), 1),
     ]
     for presentation, limit, result, counts, passes in cases:
         outcome = enumerate_cosets(presentation, limit=limit)
@@ -220,8 +225,9 @@ def random_presentation(rng):
 
 
 # sha256 of the (result, definitions, coincidences, max_live) rows below,
-# recorded with a lookahead pass that traced every relator at every coset.
-FINGERPRINT_SHA256 = "4856d341f28472738a0c72b20446e0b8c1e2b247878f2452b99c584b1c0a7e1a"
+# recorded with a lookahead pass that traced every relator at every coset,
+# and re-recorded with deductions processed after every scan.
+FINGERPRINT_SHA256 = "029461aefd583875d419f652999ff828cd1c674ef324fb724db5159f97f46763"
 
 
 def fingerprint_cases():
@@ -283,7 +289,7 @@ def test_every_definition_goes_through_define(monkeypatch):
         outcome = enumerate_cosets(presentation, limit=limit)
         assert defined == outcome.stats.definitions, (presentation, limit)
         total += defined
-    assert outcome.stats.definitions == 134_506 and total > 134_506
+    assert outcome.stats.definitions == 60_736 and total > 60_736
 
 
 def test_lookahead_skips_only_closed_cosets(monkeypatch):
@@ -320,7 +326,8 @@ def test_lookahead_skips_only_closed_cosets(monkeypatch):
 
 def cascade_cases(count=400):
     # Up to four generators and more relators than generators: small limits
-    # fill, and lookahead passes set off long coincidence cascades.
+    # fill, and deductions and lookahead passes set off long coincidence
+    # cascades.
     rng = random.Random(2)
     for _ in range(count):
         names = ("a", "b", "c", "d")[: rng.randint(1, 4)]
@@ -332,17 +339,16 @@ def cascade_cases(count=400):
 
 
 # sha256 of the (result, definitions, coincidences, max_live,
-# lookahead_passes) rows of cascade_cases(), recorded with a lookahead pass
-# that traced from coset 0 and a coincidence routine that called a merge
-# function per merge.  Re-recorded for the work bound, which stops two
-# LimitExceeded rows earlier and changes no other row.
-CASCADE_SHA256 = "4a1a9b4f400e04539e242068779f8b3521722bd961938d7f87d091260fddf7cb"
+# lookahead_passes) rows of cascade_cases(800), recorded with deductions
+# processed after every scan.  Deductions keep tables small, so the first
+# 400 cases, which the pin covered before, merge only about 64,000 cosets.
+CASCADE_SHA256 = "51f835fce872288762144d30c26b71d4d85cfe68d0bec0073368184a26b802e3"
 
 
 def test_cascade_fingerprint_is_pinned():
     rows = []
     looked = coincidences = 0
-    for presentation, limit in cascade_cases():
+    for presentation, limit in cascade_cases(800):
         outcome = enumerate_cosets(presentation, limit=limit)
         s = outcome.stats
         looked += s.lookahead_passes > 0
@@ -363,28 +369,61 @@ def chain(n):
     return pres(names, *texts, "x0^5", f"x5*x20*x{n - 1}^-2")
 
 
+def wide_a5(n):
+    # A5 on n generators: a, b and copies z_i of them, so 2n table columns.
+    # Deductions collapse the chain above at once, but A5's own relators
+    # still need lookahead passes at limits near its order.
+    names = ["a", "b", *(f"z{i}" for i in range(n - 2))]
+    texts = [f"z{i}*{'ab'[i % 2]}^-1" for i in range(n - 2)]
+    return pres(names, "a^2", "b^3", "(a*b)^5", *texts)
+
+
 WIDE = chain(34)  # 68 columns: masks are Python ints
 MID = chain(24)  # 48 columns: masks are 64-bit
+WIDE_A5 = wide_a5(34)
+MID_A5 = wide_a5(24)
 
 
 @pytest.mark.parametrize(
     "presentation,limit,counts",
     [
-        (WIDE, 10, (9, 5, 10, 1)),
-        (WIDE, 20, (19, 15, 20, 1)),
-        (WIDE, 30, (29, 25, 30, 1)),
-        (WIDE, 38, (37, 33, 38, 1)),
-        (WIDE, 39, (41, 37, 39, 0)),
-        (MID, 20, (19, 15, 20, 1)),
-        (MID, 30, (31, 27, 29, 0)),
+        (WIDE, 10, (7, 3, 6, 0)),
+        (WIDE, 20, (7, 3, 6, 0)),
+        (WIDE, 30, (7, 3, 6, 0)),
+        (WIDE, 38, (7, 3, 6, 0)),
+        (WIDE, 39, (7, 3, 6, 0)),
+        (MID, 20, (7, 3, 6, 0)),
+        (MID, 30, (7, 3, 6, 0)),
     ],
 )
 def test_tables_wider_than_32_and_64_columns(presentation, limit, counts):
-    # (definitions, coincidences, max_live, lookahead_passes), recorded
-    # before the enumerator kept column masks.
+    # (definitions, coincidences, max_live, lookahead_passes), first
+    # recorded before the enumerator kept column masks.  Since deductions
+    # are processed, every limit from 6 on collapses the chain with no
+    # lookahead pass.
     outcome = enumerate_cosets(presentation, limit=limit)
     s = outcome.stats
     assert outcome.result == Completed(5)
+    assert (s.definitions, s.coincidences, s.max_live, s.lookahead_passes) == counts
+
+
+@pytest.mark.parametrize(
+    "presentation,limit,counts",
+    [
+        (WIDE_A5, 60, (71, 12, 60, 2)),
+        (WIDE_A5, 64, (82, 23, 64, 2)),
+        (WIDE_A5, 70, (94, 35, 70, 2)),
+        (WIDE_A5, 79, (119, 60, 79, 1)),
+        (MID_A5, 60, (71, 12, 60, 2)),
+        (MID_A5, 66, (85, 26, 66, 1)),
+    ],
+)
+def test_lookahead_on_tables_wider_than_32_and_64_columns(presentation, limit, counts):
+    # The same counters for runs whose lookahead passes, deductions and
+    # merges all walk masks wider than 32 and 64 bits.
+    outcome = enumerate_cosets(presentation, limit=limit)
+    s = outcome.stats
+    assert outcome.result == Completed(60)
     assert (s.definitions, s.coincidences, s.max_live, s.lookahead_passes) == counts
 
 
@@ -405,6 +444,12 @@ def lookahead_cases():
         (A5, 60), (A5, 61), (STUBBORN, 13), (STUBBORN, 14),
         *((WIDE, limit) for limit in (10, 20, 30, 38)),
         (MID, 20),
+        *((WIDE_A5, limit) for limit in (59, 60, 64, 70)),
+        (MID_A5, 60),
+        # Deductions make most merges outside lookahead.  Just below the
+        # limit where they collapse it alone, this trivial group collapses
+        # from about 700 cosets in a lookahead pass.
+        (HIGMAN3, 680), (HIGMAN3, 740),
     ]:
         yield presentation, limit, ()
     yield from subgroup_cases()
@@ -445,6 +490,65 @@ def test_lookahead_matches_the_reference_pass(monkeypatch):
     for presentation, limit, subgroup in lookahead_cases():
         enumerate_cosets(presentation, limit, subgroup)
     assert passes >= 300 and merges >= 5_000 and subgroup_passes >= 100
+
+
+def relator_conjugates(relators, x):
+    """Every cyclic conjugate of a relator or of its inverse that starts
+    with column x."""
+    for w, *_ in relators:
+        for v in (w, tuple(y ^ 1 for y in reversed(w))):
+            yield from (v[k:] + v[:k] for k in range(len(v)) if v[k] == x)
+
+
+def open_by_one_letter(table, a, w):
+    """Whether tracing w at coset a, forwards and backwards without
+    defining, leaves a one-letter gap or meets two cosets."""
+    f, i = a, 0
+    while i < len(w) and table[f][w[i]] is not None:
+        f, i = table[f][w[i]], i + 1
+    b, j = a, len(w) - 1
+    while j >= i and table[b][w[j] ^ 1] is not None:
+        b, j = table[b][w[j] ^ 1], j - 1
+    return i == j or (j < i and f != b)
+
+
+def test_deduce_stops_at_a_fixpoint(monkeypatch):
+    # When deduce returns, every relator conjugate through an entry it
+    # traced, at a coset still live, closes there or leaves a gap of two or
+    # more letters: no deduction or coincidence is left behind.
+    deduce = _Enumerator.deduce
+    edges = coincident = 0
+
+    class Recording(list):
+        def pop(self):
+            entry = super().pop()
+            self.traced.append(entry)
+            return entry
+
+    def checked_deduce(self):
+        nonlocal edges, coincident
+        queued = self.deductions
+        queue = self.deductions = Recording(queued)
+        queue.traced = []
+        queued.clear()
+        before = self.coincidences
+        deduce(self)
+        self.deductions = queued
+        coincident += self.coincidences > before
+        for a, x in queue.traced:
+            if self.table[a] is None:
+                continue
+            edges += 1
+            for w in relator_conjugates(self.relators, x):
+                assert not open_by_one_letter(self.table, a, w), (a, w)
+
+    monkeypatch.setattr(_Enumerator, "deduce", checked_deduce)
+    complement = complement_presentation(build_Mkn(FamilyParams(2, 1)))
+    for presentation, limit, subgroup in [
+        *lookahead_cases(), (complement, 60_000, (gen("b2"),)),
+    ]:
+        enumerate_cosets(presentation, limit, subgroup)
+    assert edges >= 100_000 and coincident >= 10_000
 
 
 def unmasked_entries(enum):

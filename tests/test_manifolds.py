@@ -278,6 +278,34 @@ def test_trivial_homology_attaches_basis_and_form():
     assert twisted.params == FamilyParams(2, 1, 2, 3, 1)
 
 
+def test_the_form_is_computed_from_the_basis_labels():
+    # The product classes pair to one hyperbolic block per labeled pair, for
+    # every k; the minus sign in -[b1 x dj] is what makes its pair +1.
+    for k in (2, 3, 5):
+        model = build_Mkn(FamilyParams(k, 1))
+        assert model.form == manifolds.hyperbolic_form(2 * k - 1)
+    assert model.form.entries[0][:2] == (0, 1)
+    slipped = replace(model, form_basis=(("[a1 x c2]", "[b1 x d2]"),))
+    assert slipped.form.entries == ((0, -1), (-1, 0))
+    assert replace(model, form_basis=(("[a1 x c2]", "[a1 x d2]"),)).form.entries == ((0, 0), (0, 0))
+
+
+def test_a_sign_slip_in_one_label_fails_the_form_verdict(monkeypatch):
+    # Negating one class is a change of basis, so the slipped form still
+    # classifies as 3H; the verdict fails because the labels no longer pair
+    # as the dual pairs they claim.
+    basis = manifolds._mkn_basis(2)
+    slipped = ((basis[0][0], basis[0][1].removeprefix("-")),) + basis[1:]
+    monkeypatch.setattr(manifolds, "_mkn_basis", lambda k: slipped)
+    model = build_Mkn(FamilyParams(2, 1))
+    assert model.form_basis == slipped and str(classify_form(model.form)) == "3H"
+    record = report.run_family_model(FamilyParams(2, 1), 60_000)
+    assert record["verdicts"]["form"]["status"] == "fail"
+    assert record["verdicts"]["form"]["classification"] == "3H"
+    monkeypatch.setattr(manifolds, "_mkn_basis", lambda k: basis)
+    assert report.run_family_model(FamilyParams(2, 1), 60_000)["verdicts"]["form"]["status"] == "pass"
+
+
 def test_intermediate_model_bookkeeping():
     for k in (2, 3):
         z = build_Zk(k)
@@ -345,30 +373,33 @@ def test_models_and_verdicts_copy_and_pickle():
     assert asdict(verdict)["simplification"]["presentation"] == verdict.simplification.presentation
 
 
-# M(2,1) pi1, enumerated over the trivial subgroup, collapses to one coset
-# at limit 51,130 but not at 51,129.  Its complement, enumerated over <b2>,
-# collapses at 12,245 but not at 12,244, and at every limit sampled above
-# that (every 100 up to 20,000, every 1,000 up to 61,000): 47,000, where it
-# failed over the trivial subgroup, now completes.  From 40,000 on, the
-# default limit included, it collapses at the soft ceiling's third pass, from
-# a table of 40,000; at 12,244 it still fills the table to the limit.  Rows
-# are (definitions, coincidences, max_live, lookahead passes).
+# Completion is not monotone in the limit in general, so these rows pin the
+# edges that a scan of M(2,1) found.  Its pi1, enumerated over the trivial
+# subgroup, fails at every limit sampled from 10,001 to 44,485 (every 250 up
+# to 42,001, every 10 up to 44,481, then every 1) and completes at every one
+# sampled from 44,486 to 61,001 (every 1 up to 44,490, every 10 up to
+# 44,501, then every 250).  Its complement, enumerated over <b2>, fails at
+# every limit sampled from 10,001 to 12,236 (every 10 up to 11,491, then
+# every 1) and completes at every one sampled from 12,237 to 61,001 (every
+# 1 up to 12,400, then every 100).  From 14,801 on, the default limit
+# included, the complement collapses from a table of 14,738 while
+# deductions are processed, after a single lookahead pass.  Rows are
+# (definitions, coincidences, max_live, lookahead passes).
 @pytest.fixture(scope="module")
 def threshold_outcomes():
     """(verify, limit, expected result, expected counts, outcome) rows."""
     model = build_Mkn(FamilyParams(2, 1))
     cases = [
-        (verify_pi1, 51_129, LimitExceeded(51_129), (64_651, 13_523, 51_129, 8)),
-        (verify_pi1, 51_130, Completed(1), (124_110, 124_110, 51_130, 10)),
-        (verify_pi1, 60_000, Completed(1), (134_506, 134_506, 60_000, 10)),
-        (verify_complement, 12_000, LimitExceeded(12_000), (12_821, 822, 12_000, 7)),
-        (verify_complement, 12_244, LimitExceeded(12_244), (14_280, 2_037, 12_244, 8)),
-        (verify_complement, 12_245, Completed(1), (36_965, 36_965, 12_245, 15)),
-        (verify_complement, 13_000, Completed(1), (38_447, 38_447, 13_000, 9)),
-        (verify_complement, 47_000, Completed(1), (83_516, 83_516, 40_000, 3)),
-        (verify_complement, 51_129, Completed(1), (83_516, 83_516, 40_000, 3)),
-        (verify_complement, 60_000, Completed(1), (83_516, 83_516, 40_000, 3)),
-        (verify_complement, DEFAULT_LIMIT, Completed(1), (83_516, 83_516, 40_000, 3)),
+        (verify_pi1, 44_485, LimitExceeded(44_485), (52_203, 7_719, 44_485, 6)),
+        (verify_pi1, 44_486, Completed(1), (60_719, 60_719, 44_486, 6)),
+        (verify_pi1, 60_000, Completed(1), (60_736, 60_736, 44_577, 3)),
+        (verify_complement, 12_000, LimitExceeded(12_000), (12_393, 394, 12_000, 6)),
+        (verify_complement, 12_236, LimitExceeded(12_236), (13_833, 1_598, 12_236, 8)),
+        (verify_complement, 12_237, Completed(1), (14_712, 14_712, 12_237, 7)),
+        (verify_complement, 13_000, Completed(1), (18_708, 18_708, 13_000, 4)),
+        (verify_complement, 44_485, Completed(1), (15_267, 15_267, 14_738, 1)),
+        (verify_complement, 60_000, Completed(1), (15_267, 15_267, 14_738, 1)),
+        (verify_complement, DEFAULT_LIMIT, Completed(1), (15_267, 15_267, 14_738, 1)),
     ]
     return [
         (verify, limit, result, counts, verify(model, limit=limit).enumeration)
@@ -460,7 +491,7 @@ def test_one_enumeration_certifies_pi1_and_the_complement(monkeypatch):
     assert pi1["enumerated"] == "complement"
     assert pi1["enumeration"] == comp["enumeration"] == {
         "result": "completed", "index": 1,
-        "definitions": 83_516, "coincidences": 83_516, "max_live": 40_000,
+        "definitions": 15_267, "coincidences": 15_267, "max_live": 14_738,
     }
     assert (comp["subgroup"], comp["h1"]) == ("b2", "0")
     # p.r = 0 and k = 1 models enumerate nothing.
@@ -471,16 +502,16 @@ def test_one_enumeration_certifies_pi1_and_the_complement(monkeypatch):
 
 
 def test_complement_certificate_below_the_pi1_threshold(monkeypatch):
-    # At 51,129 direct pi1 enumeration fails (see the threshold pins) but the
+    # At 44,485 direct pi1 enumeration fails (see the threshold pins) but the
     # complement completes, and its group maps onto pi1: the model passes.
     calls = counting_enumerations(monkeypatch)
-    record = report.run_family_model(FamilyParams(2, 1), 51_129)
+    record = report.run_family_model(FamilyParams(2, 1), 44_485)
     assert len(calls) == 1 and record["passed"]
     pi1 = record["verdicts"]["pi1"]
     assert (pi1["status"], pi1["enumerated"]) == ("pass", "complement")
     assert pi1["enumeration"] == record["verdicts"]["complement"]["enumeration"] == {
         "result": "completed", "index": 1,
-        "definitions": 83_516, "coincidences": 83_516, "max_live": 40_000,
+        "definitions": 15_267, "coincidences": 15_267, "max_live": 14_738,
     }
     assert record["certifications"] == [COMPLEMENT_TRIVIAL, PI1_TRIVIAL]
     assert record["verdicts"]["homeomorphism"]["type"] == "3(S2xS2)"
@@ -498,7 +529,7 @@ def test_failed_complement_falls_back_to_the_direct_pi1_run(monkeypatch):
     assert (pi1["status"], pi1["enumerated"]) == ("fail", "as-built")
     assert pi1["enumeration"] == {
         "result": "limit-exceeded", "cosets_used": 12_000,
-        "definitions": 12_681, "coincidences": 682, "max_live": 12_000,
+        "definitions": 12_308, "coincidences": 309, "max_live": 12_000,
     }
     assert record["verdicts"]["complement"] == {
         "status": "fail",
@@ -506,11 +537,11 @@ def test_failed_complement_falls_back_to_the_direct_pi1_run(monkeypatch):
         "h1": "0",
         "enumeration": {
             "result": "limit-exceeded", "cosets_used": 12_000,
-            "definitions": 12_821, "coincidences": 822, "max_live": 12_000,
+            "definitions": 12_393, "coincidences": 394, "max_live": 12_000,
         },
     }
     digest = hashlib.sha256(report.render_json(record).encode()).hexdigest()
-    assert digest == "91b1ed3e4a4d627c9eb33aee3e43e5d98abdf8fbb14ac8c47c410b3a9f915454"
+    assert digest == "8b66ff06a45a6321a54537fa7c7520c265572b32d52effcd88191938f1577675"
 
 
 def test_pi1_refuses_a_certificate_that_is_not_a_quotient():
