@@ -103,7 +103,10 @@ DEFAULT_LIMIT = 1_000_000
 # definitions per unit of limit the larger its index and the nearer its limit
 # to the lowest one that completes; the most measured on the family models
 # is 1.78 (pi1 of order 16; 6.77 before deductions were processed), so 12
-# leaves a wide margin.
+# leaves a wide margin.  The bound counts definitions, not the deduction
+# traces that follow each one, so a run that churns to it spends most of its
+# time in `deduce`: M(2,1) with p = 0, r = 1 at limit 100,000 takes about
+# 7 s, about 5 s of it in `deduce` (2-vCPU VM, Python 3.11).
 WORK_BOUND = 12
 # The soft ceiling's start (see the module docstring).  It lies below the
 # lowest limits at which the M(2,1) complement (12,237) and pi1 (44,486) were

@@ -25,10 +25,9 @@ class IntMatrix:
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
         rows = tuple(tuple(row) for row in entries)
-        for row in rows:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise TypeError(f"matrix entries must be plain ints, got {x!r}")
+        if {type(x) for row in rows for x in row} - {int}:
+            bad = next(x for row in rows for x in row if type(x) is not int)
+            raise TypeError(f"matrix entries must be plain ints, got {bad!r}")
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import traceback
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from . import __version__
@@ -594,9 +592,17 @@ def _pairwise_records(records: list[dict]) -> list[dict]:
 
 
 def run(spec: RunSpec, jobs: int = 1) -> dict:
-    """Execute a run spec and assemble the deterministic report dict."""
+    """Execute a run spec and assemble the deterministic report dict.
+
+    Worker processes are imported and started only when `jobs` > 1 and the
+    spec has two or more models; any other run stays in this process."""
     items = [*spec.families, *spec.customs]
     if jobs > 1 and len(items) > 1:
+        # Imported here: the pool pulls multiprocessing, pickle, socket and
+        # subprocess into the interpreter.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # A worker that dies outright breaks the pool: every model whose
         # record never arrived gets a failed record with error
         # `BrokenProcessPool`, and the others keep theirs.

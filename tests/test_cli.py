@@ -259,7 +259,8 @@ def test_worker_pool_is_capped_at_the_task_count(monkeypatch, text):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(report, "ProcessPoolExecutor", FakePool)
+    # `run` imports the pool class at call time, so patch it where it is read.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     result = report.run(parse_spec(text), jobs=500)
     assert seen == [2]
     assert result["summary"]["passed"] == 2

@@ -2,9 +2,12 @@
 module, every parameter of a package function is read by its body, every
 function, method and class the package defines is referenced from the package
 or the benchmark harness, and every field of a package dataclass is read
-there as an attribute."""
+there as an attribute.  Importing the package, its report module and its CLI
+loads no worker-pool machinery."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,3 +239,21 @@ def test_scan_finds_an_unread_field():
     assert unread_fields(package, others) == [
         "a.py: A.written (line 5)", "a.py: A.unread (line 6)",
     ]
+
+
+# Modules only a run that starts worker processes needs.
+POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
+
+
+def test_importing_the_package_loads_no_worker_pool():
+    """A fresh interpreter that imports the package, the report module and
+    the CLI has not loaded the pool: single-process runs do not pay for it."""
+    probe = (
+        "import sys\n"
+        "import exotic4, exotic4.report, exotic4.cli\n"
+        f"print([m for m in {POOL_MODULES!r} if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

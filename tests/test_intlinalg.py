@@ -64,6 +64,15 @@ def test_matrix_validation():
     with pytest.raises((TypeError, ValueError)):
         IntMatrix(((1.5,),))
 
+    class Int(int):
+        pass
+
+    # Only plain ints: a bool or an int subclass is named in the error.
+    with pytest.raises(TypeError, match="plain ints, got True"):
+        IntMatrix(((1, 2), (True, 0)))
+    with pytest.raises(TypeError, match="plain ints, got 3"):
+        IntMatrix(((1, 2), (0, Int(3))))
+
 
 def test_snf_of_a_small_dense_matrix():
     snf = assert_snf_certificate(mat([[2, 4], [6, 8]]))
