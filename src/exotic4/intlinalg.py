@@ -84,7 +84,11 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     u and v unimodular, and the diagonal a nonnegative divisibility chain.
 
     Pivot rule: smallest nonzero absolute value in the working submatrix,
-    ties broken row-major, so the decomposition is deterministic.
+    ties broken row-major, so the decomposition is deterministic.  Two early
+    exits leave d, u and v exactly as the full search would: the pivot search
+    stops at the first entry of absolute value 1, which already wins under
+    the rule, and a pivot of 1 skips the divisibility-chain scan, because 1
+    divides every entry.
     """
     nr, nc = m.rows, m.cols
     d = m.to_lists()
@@ -123,6 +127,8 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
                 a = abs(d[i][j])
                 if a and (best is None or a < best[0]):
                     best = (a, i, j)
+                    if a == 1:
+                        return best
         return best
 
     for t in range(min(nr, nc)):
@@ -156,6 +162,8 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
                             dirty = True
             # Enforce the divisibility chain: fold any non-multiple into the
             # pivot row and redo the clearing at this position.
+            if d[t][t] == 1:
+                break
             offender = None
             for i in range(t + 1, nr):
                 for j in range(t + 1, nc):
@@ -173,15 +181,19 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 
 
 def exponent_matrix(presentation: Presentation) -> IntMatrix:
-    """Rows indexed by relators, columns by generators; entries are total
-    exponents.  This presents the abelianization."""
+    """Columns indexed by generators, one row per relator whose exponent
+    sums are not all zero; entries are total exponents.  This presents the
+    abelianization.  A relator with zero exponent sums, such as a
+    commutator, gives a zero row, which adds nothing to the row space, so
+    dropping it leaves the invariant factors and the free rank unchanged."""
     index = {n: i for i, n in enumerate(presentation.generators)}
     rows = []
     for rel in presentation.relators:
         row = [0] * len(presentation.generators)
         for name, exp in rel.syllables:
             row[index[name]] += exp
-        rows.append(row)
+        if any(row):
+            rows.append(row)
     return IntMatrix(rows, cols=len(presentation.generators))
 
 

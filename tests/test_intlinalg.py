@@ -1,11 +1,21 @@
 """Exact integer matrix layer: SNF, forms, abelianization."""
 
+import hashlib
 import random
 
 import pytest
 
+from exotic4 import intlinalg
 from exotic4.words import commutator, gen, parse_relation
 from exotic4.presentations import Presentation
+from exotic4.manifolds import (
+    FamilyParams,
+    SurgeryMove,
+    apply_schedule,
+    build_Mkn,
+    build_Xk,
+    build_Zk,
+)
 from exotic4.intlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -79,11 +89,18 @@ def test_snf_of_a_small_dense_matrix():
     assert snf.invariant_factors == (2, 4)
 
 
-def test_snf_certificate_and_divisor_oracle_on_randoms():
+def seeded_random_matrices() -> list[list[list[int]]]:
     rng = random.Random(20240101)
+    out = []
     for _ in range(80):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        out.append([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+    return out
+
+
+def test_snf_certificate_and_divisor_oracle_on_randoms():
+    for rows in seeded_random_matrices():
+        c = len(rows[0])
         snf = assert_snf_certificate(mat(rows))
         expected = determinantal_divisor_factors(rows, c)
         got = tuple(abs(x) for x in snf.invariant_factors if x != 0)
@@ -236,3 +253,101 @@ def test_unimodularity_matches_cofactor_expansion():
 def test_classify_requires_symmetry():
     with pytest.raises(ValueError):
         classify_form(mat([[0, 1], [2, 0]]))
+
+
+def relator_indexed_matrix(presentation: Presentation) -> IntMatrix:
+    """One row per relator, zero rows included: each syllable's exponent
+    summed into its generator's column."""
+    cols = {g: j for j, g in enumerate(presentation.generators)}
+    rows = [[0] * len(cols) for _ in presentation.relators]
+    for row, rel in zip(rows, presentation.relators):
+        for name, exp in rel.syllables:
+            row[cols[name]] += exp
+    return IntMatrix(rows, cols=len(cols))
+
+
+def invariants_of(m: IntMatrix) -> AbelianInvariants:
+    factors = smith_normal_form(m).invariant_factors
+    return AbelianInvariants(tuple(f for f in factors if f > 1), m.cols - len(factors))
+
+
+def abelianization_grid():
+    for k in (1, 2, 3, 4, 8):
+        for n in (1, 2):
+            for p in range(4):
+                for r in range(4):
+                    yield build_Mkn(FamilyParams(k, n, p, r)).presentation
+    for k in range(1, 5):
+        yield build_Xk(k).presentation
+    yield build_Zk(2).presentation
+    # the benchmark smoke workload's custom swap
+    tweak = SurgeryMove(
+        "custom", "custom", (parse_relation("[b1, d3]"),), (parse_relation("[b1, d3]^2"),)
+    )
+    yield apply_schedule(build_Xk(2), (tweak,)).presentation
+
+
+def test_nonzero_row_abelianization_is_the_relator_indexed_one():
+    checked_by_minors = 0
+    for pres in abelianization_grid():
+        full = relator_indexed_matrix(pres)
+        kept = exponent_matrix(pres)
+        assert kept.cols == full.cols
+        assert kept.entries == tuple(row for row in full.entries if any(row))
+        inv = abelian_invariants(pres)
+        assert inv == invariants_of(full), pres
+        if min(kept.rows, kept.cols) <= 3:  # few enough minors for the oracle
+            oracle = determinantal_divisor_factors(kept.to_lists(), kept.cols)  # no zeros
+            assert inv.torsion == tuple(f for f in oracle if f > 1)
+            assert inv.free_rank == kept.cols - len(oracle)
+            checked_by_minors += 1
+    assert checked_by_minors == 5  # X_1..X_4 and the swap
+
+
+def test_abelianization_edge_cases():
+    x, y, z = gen("x"), gen("y"), gen("z")
+    commutators = Presentation(("x", "y", "z"), (commutator(x, y), commutator(y, z)))
+    assert exponent_matrix(commutators) == IntMatrix((), cols=3)
+    assert abelian_invariants(commutators) == AbelianInvariants((), 3)
+    assert abelian_invariants(Presentation(("x", "y"), ())) == AbelianInvariants((), 2)
+    assert abelian_invariants(Presentation(())).trivial
+
+
+def snf_digest(matrices) -> str:
+    h = hashlib.sha256()
+    for m in matrices:
+        snf = smith_normal_form(m)
+        h.update(repr((snf.d.entries, snf.u.entries, snf.v.entries)).encode())
+    return h.hexdigest()
+
+
+def test_snf_transforms_are_pinned():
+    # Recorded before the pivot search stopped at a unit and a pivot of 1
+    # skipped the divisibility scan: neither changes an entry of d, u or v.
+    assert snf_digest(mat(rows) for rows in seeded_random_matrices()) == (
+        "cbda548e5b0024234239700d18d17fdc6d566ee6adac1deef5d1db1dca8c9118"
+    )
+    m8 = relator_indexed_matrix(build_Mkn(FamilyParams(8, 1, 0, 1)).presentation)
+    assert (m8.rows, m8.cols) == (75, 22)
+    assert snf_digest([m8]) == (
+        "1c186e338611beb130074490724a673638a9eb829eb3d483118ad2d813683ca1"
+    )
+    assert snf_digest([build_Mkn(FamilyParams(2, 1)).form]) == (
+        "bdab5b268eff1e4817afe13e9ce6a0b5be742a1f98d52cc33267133e094e985d"
+    )
+
+
+def test_abelianization_factors_only_the_nonzero_rows(monkeypatch):
+    pres = build_Mkn(FamilyParams(20, 1)).presentation
+    assert len(pres.relators) == 171
+    factored = []
+    real = intlinalg.smith_normal_form
+
+    def recording(m):
+        factored.append(m)
+        return real(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    assert abelian_invariants(pres).trivial
+    [m] = factored
+    assert m.rows <= 47 and all(any(row) for row in m.entries)
