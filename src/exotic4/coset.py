@@ -94,7 +94,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 
-from .presentations import Presentation, relator_letters, word_letters
+from .presentations import Presentation, _Memo, relator_letters, word_letters
 from .words import Word
 
 DEFAULT_LIMIT = 1_000_000
@@ -152,18 +152,6 @@ class EnumerationOutcome:
 
 class _Overflow(Exception):
     pass
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with `build(key)`."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
 
 
 class _Enumerator:

@@ -384,6 +384,9 @@ def build_Xk(k: int) -> ManifoldModel:
     pre = [mv.removed_relations[0] for mv in schedule_Mkn(FamilyParams(k, 1, 1, 1))]
     relators = _common_relators(k) + pre + _surface_relators(k)
     presentation = Presentation(family_generators(k), relators)
+    # apply_schedule recomputes H1 for every surgered model, but this one is
+    # kept: ManifoldModel.__post_init__ compares it with b1 = 2k + 4, the
+    # only check that X_k's stated b1 agrees with its presentation.
     h1 = abelian_invariants(presentation)
     char = CharNumbers(4 * k, 0, 2 * k + 4)
     return ManifoldModel(

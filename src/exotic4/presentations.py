@@ -1,9 +1,10 @@
 """Finite presentations and Tietze simplification by generator elimination.
 
 Simplification only eliminates generators that a relator defines; it never
-shortens one relator by another, so each elimination reads and writes every
-relator once.  Its result is evidence for the report (the generators left
-and the eliminations made); no verdict reads it.
+shortens one relator by another.  A round counts the letters of all
+relators once, and rewrites only the relators that hold the eliminated
+generator.  Its result is evidence for the report (the generators left and
+the eliminations made); no verdict reads it.
 
 This module owns the letter encoding that Tietze simplification and coset
 enumeration work on: generator i is letter 2i, its inverse 2i+1, and a
@@ -116,7 +117,30 @@ def _cleanup(words: list[str], inverse) -> list[str]:
     return out
 
 
-def _find_candidate(words: list[str]):
+class _Memo(dict):
+    """A dict that fills a missing key with `build(key)`."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _defined(s: str) -> tuple[tuple[int, int], ...]:
+    """(generator, position) for each generator that occurs exactly once in
+    `s`, in either sign: the generators the relator `s` defines."""
+    counts = Counter(s)
+    return tuple(
+        (ord(c) >> 1, s.index(c))
+        for c, n in counts.items()
+        if n == 1 and chr(ord(c) ^ 1) not in counts
+    )
+
+
+def _find_candidate(words: list[str], defined=None):
     """Best (relator position, letter position) whose generator occurs
     exactly once in that relator, so the relator defines it.
 
@@ -124,19 +148,21 @@ def _find_candidate(words: list[str]):
     add, (len(r) - 1) * (occurrences of g outside r), so cheap eliminations
     (length <= 2 defining relators cost 0 growth per site) go first; ties
     break by relator length, then generator index, for determinism.
+    `defined` memoizes `_defined` per relator string across calls.
     """
+    if defined is None:
+        defined = _Memo(_defined)
+    occurrences = Counter()
+    for c, n in Counter("".join(words)).items():
+        occurrences[ord(c) >> 1] += n
     best = None
     best_key = None
-    occurrences = Counter(ord(c) >> 1 for s in words for c in s)
     for ri, s in enumerate(words):
-        counts = Counter(ord(c) >> 1 for c in s)
-        for pos, c in enumerate(s):
-            g = ord(c) >> 1
-            if counts[g] == 1:
-                key = ((len(s) - 1) * (occurrences[g] - 1), len(s), g, ri)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (ri, pos)
+        for g, pos in defined[s]:
+            key = ((len(s) - 1) * (occurrences[g] - 1), len(s), g, ri)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (ri, pos)
     return best
 
 
@@ -145,13 +171,15 @@ def tietze_simplify(presentation: Presentation) -> TietzeResult:
 
     A relator x g^e y with e = +-1 and no other g lets us solve for g and
     substitute everywhere, dropping both g and the relator.  Each round
-    takes the cheapest such relator (see _find_candidate), substitutes it,
-    and then reduces the relators and drops empty and repeated ones (see
-    _cleanup).  Rounds repeat until no relator defines a generator; each
-    one removes a generator, so there are at most as many rounds as
-    generators.  Relators are never rewritten by one another, so a round
-    reads and writes each relator once, in time and memory linear in its
-    length.
+    takes the cheapest such relator (see _find_candidate), substitutes it
+    into the relators that hold g and reduces those, and then drops empty
+    and repeated relators (see _cleanup).  Rounds repeat until no relator
+    defines a generator; each one removes a generator, so there are at
+    most as many rounds as generators.  Relators are never rewritten by one
+    another.  A round counts the letters of all relators once, and finds
+    the generators a relator defines (see _defined) only for a relator
+    string it has not seen, so a relator without g costs no rewrite and no
+    rescan.  Each round takes time linear in the relators' length.
     """
     names = presentation.generators
     swap = {c: c ^ 1 for c in range(2 * len(names))}
@@ -160,8 +188,9 @@ def tietze_simplify(presentation: Presentation) -> TietzeResult:
         return s[::-1].translate(swap)
 
     words = _cleanup(relator_letters(presentation), inverse)
+    defined = _Memo(_defined)
     eliminated: list[tuple[int, str, str]] = []
-    while (cand := _find_candidate(words)) is not None:
+    while (cand := _find_candidate(words, defined)) is not None:
         ri, pos = cand
         s = words.pop(ri)
         letter = ord(s[pos])
@@ -171,7 +200,12 @@ def tietze_simplify(presentation: Presentation) -> TietzeResult:
         if letter == 2 * g:  # e = +1
             replacement = inverse(replacement)
         table = {2 * g: replacement, 2 * g + 1: inverse(replacement)}
-        words = _cleanup([_reduced(w.translate(table)) for w in words], inverse)
+        plus, minus = chr(2 * g), chr(2 * g + 1)
+        # A relator without g is already freely and cyclically reduced.
+        words = _cleanup(
+            [_reduced(w.translate(table)) if plus in w or minus in w else w for w in words],
+            inverse,
+        )
         eliminated.append((g, s, replacement))
     gone = {g for g, _, _ in eliminated}
     return TietzeResult(

@@ -177,7 +177,8 @@ def rational_determinant(rows) -> int:
 
 
 def determinantal_divisor_factors(rows, cols_count) -> tuple[int, ...]:
-    """Invariant factors via gcds of k x k minors (small matrices only)."""
+    """Invariant factors via gcds of k x k minors (small matrices only):
+    the nonzero ones, units included."""
     n = len(rows)
     factors = []
     prev = 1
@@ -191,7 +192,7 @@ def determinantal_divisor_factors(rows, cols_count) -> tuple[int, ...]:
             break
         factors.append(g // prev)
         prev = g
-    return tuple(f for f in factors if f != 1 or True)  # keep units; caller strips
+    return tuple(factors)
 
 
 def rational_signature(rows) -> tuple[int, int]:

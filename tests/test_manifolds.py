@@ -100,6 +100,15 @@ def test_base_model_abelianization_is_free_of_full_rank():
         assert m.h1 == AbelianInvariants((), 2 * k + 4)
 
 
+def test_base_model_b1_is_checked_against_its_presentation(monkeypatch):
+    # An extra, unrelated generator raises H1's free rank to 2k + 5, which
+    # the stated b1 = 2k + 4 no longer matches.
+    real = manifolds.family_generators
+    monkeypatch.setattr(manifolds, "family_generators", lambda k: real(k) + ("z",))
+    with pytest.raises(ValueError, match="b1 = 8 disagrees with H1 free rank 9"):
+        build_Xk(2)
+
+
 def test_base_model_rejects_bad_k():
     with pytest.raises(ParameterError):
         build_Xk(0)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from exotic4 import presentations
 from exotic4.words import Word, commutator, gen, parse_relation
 from exotic4.presentations import (
     Presentation,
@@ -228,3 +229,36 @@ def test_simplification_stops_where_no_relator_defines_a_generator():
         result = tietze_simplify(presentation)
         assert _find_candidate(relator_letters(result.presentation)) is None, presentation
         assert result.steps == len(result.eliminations)
+
+
+def test_an_elimination_rewrites_only_the_relators_that_hold_its_generator(monkeypatch):
+    # _cleanup runs once on the initial relators and once per round, so its
+    # outputs are the relators each round starts from; a round may reduce
+    # only the relators other than the defining one that hold g.
+    events = []
+    real_reduced, real_cleanup = presentations._reduced, presentations._cleanup
+
+    def reduced(letters):
+        events.append(None)
+        return real_reduced(letters)
+
+    def cleanup(words, inverse):
+        out = real_cleanup(words, inverse)
+        events.append(list(out))  # tietze_simplify pops from `out`
+        return out
+
+    monkeypatch.setattr(presentations, "_reduced", reduced)
+    monkeypatch.setattr(presentations, "_cleanup", cleanup)
+    presentation = build_Mkn(FamilyParams(8, 1, 0, 0)).presentation
+    result = tietze_simplify(presentation)
+    starts = [i for i, e in enumerate(events) if e is not None]
+    assert starts[0] == len(presentation.relators)  # relator_letters
+    assert len(starts) == len(result.eliminations) + 1
+    names = presentation.generators
+    untouched = 0
+    for (name, _, _), begin, end in zip(result.eliminations, starts, starts[1:]):
+        g = names.index(name)
+        holding = sum(chr(2 * g) in w or chr(2 * g + 1) in w for w in events[begin])
+        assert end - begin - 1 == holding - 1, name
+        untouched += len(events[begin]) - holding
+    assert untouched > 0
