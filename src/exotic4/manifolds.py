@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 from .coset import DEFAULT_LIMIT, EnumerationOutcome, enumerate_cosets
 from .intlinalg import AbelianInvariants, FormType, IntMatrix, abelian_invariants
@@ -372,6 +372,15 @@ def _mkn_basis(k: int) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
+@cache
+def _xk_relators(k: int) -> tuple[Word, ...]:
+    """X_k's relators: the common ones, the pre-surgery relation of each
+    move of the schedule, and the two surface relators.  Every model of one
+    k starts from this tuple; it holds only immutable Words."""
+    pre = [mv.removed_relations[0] for mv in schedule_Mkn(FamilyParams(k, 1, 1, 1))]
+    return tuple(_common_relators(k) + pre + _surface_relators(k))
+
+
 def build_Xk(k: int) -> ManifoldModel:
     """The unsurgered model surface X_k.
 
@@ -381,9 +390,9 @@ def build_Xk(k: int) -> ManifoldModel:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ParameterError(f"constraint violated: k >= 1 (got {k})")
-    pre = [mv.removed_relations[0] for mv in schedule_Mkn(FamilyParams(k, 1, 1, 1))]
-    relators = _common_relators(k) + pre + _surface_relators(k)
-    presentation = Presentation(family_generators(k), relators)
+    # The relators come from _xk_relators, built once per k; k is checked
+    # first, since True and 1 are one key there.
+    presentation = Presentation(family_generators(k), _xk_relators(k))
     # apply_schedule recomputes H1 for every surgered model, but this one is
     # kept: ManifoldModel.__post_init__ compares it with b1 = 2k + 4, the
     # only check that X_k's stated b1 agrees with its presentation.

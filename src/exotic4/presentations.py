@@ -103,14 +103,28 @@ def relator_letters(presentation: Presentation) -> list[str]:
 
 
 def _from_letters(letters: str, names: tuple[str, ...]) -> Word:
-    return Word((names[ord(c) >> 1], 1 if ord(c) % 2 == 0 else -1) for c in letters)
+    """The Word of a freely reduced letter string over `names`.  A run of
+    one letter becomes one syllable, and nothing can cancel, so the word is
+    built as it stands."""
+    out: list[tuple[str, int]] = []
+    prev = None
+    for c in letters:
+        if c == prev:
+            name, exp = out[-1]
+            out[-1] = (name, exp + 1 if exp > 0 else exp - 1)
+        else:
+            out.append((names[ord(c) >> 1], -1 if ord(c) & 1 else 1))
+            prev = c
+    return Word._of(tuple(out))
 
 
-def _cleanup(words: list[str], inverse) -> list[str]:
-    """Drop empty relators and repeats of a relator or of its inverse."""
+def _cleanup(words: list[str], canonical) -> list[str]:
+    """Drop empty relators and repeats of a relator or of its inverse.
+
+    `canonical[s]` is the lesser of s and its inverse, one key for both."""
     out, seen = [], set()
     for s in words:
-        key = min(s, inverse(s))
+        key = canonical[s]
         if s and key not in seen:
             seen.add(key)
             out.append(s)
@@ -177,9 +191,10 @@ def tietze_simplify(presentation: Presentation) -> TietzeResult:
     defines a generator; each one removes a generator, so there are at
     most as many rounds as generators.  Relators are never rewritten by one
     another.  A round counts the letters of all relators once, and finds
-    the generators a relator defines (see _defined) only for a relator
-    string it has not seen, so a relator without g costs no rewrite and no
-    rescan.  Each round takes time linear in the relators' length.
+    the generators a relator defines (see _defined), and the key under
+    which _cleanup spots a repeat, only for a relator string it has not
+    seen, so a relator without g costs no rewrite and no rescan.  Each
+    round takes time linear in the relators' length.
     """
     names = presentation.generators
     swap = {c: c ^ 1 for c in range(2 * len(names))}
@@ -187,7 +202,8 @@ def tietze_simplify(presentation: Presentation) -> TietzeResult:
     def inverse(s: str) -> str:
         return s[::-1].translate(swap)
 
-    words = _cleanup(relator_letters(presentation), inverse)
+    canonical = _Memo(lambda s: min(s, inverse(s)))
+    words = _cleanup(relator_letters(presentation), canonical)
     defined = _Memo(_defined)
     eliminated: list[tuple[int, str, str]] = []
     while (cand := _find_candidate(words, defined)) is not None:
@@ -204,10 +220,13 @@ def tietze_simplify(presentation: Presentation) -> TietzeResult:
         # A relator without g is already freely and cyclically reduced.
         words = _cleanup(
             [_reduced(w.translate(table)) if plus in w or minus in w else w for w in words],
-            inverse,
+            canonical,
         )
         eliminated.append((g, s, replacement))
     gone = {g for g, _, _ in eliminated}
+    # _from_letters needs freely reduced strings: each relator is one, and a
+    # replacement is the rest of a cyclically reduced relator read from the
+    # letter after g (or that rest's inverse), which is one too.
     return TietzeResult(
         Presentation(
             [name for i, name in enumerate(names) if i not in gone],

@@ -3,6 +3,11 @@
 A word is a tuple of (generator name, nonzero exponent) pairs with no two
 adjacent pairs sharing a name, so every group element has exactly one
 representation and equality is tuple equality.
+
+`Word(...)` validates its syllables and fully reduces them.  Arithmetic on
+words that are already reduced does less: a product reduces only where the
+two words meet, since no other part of either can cancel, and the inverse
+of a reduced word is reduced as it stands.
 """
 
 from __future__ import annotations
@@ -38,12 +43,26 @@ def _reduce(syllables: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]
 
 
 class Word:
-    """A freely reduced word. Immutable and hashable."""
+    """A freely reduced word. Immutable and hashable.
+
+    `Word(syllables)` checks that every exponent is an integer and reduces
+    freely.  A product `u * v` cancels or merges only the syllables where u
+    ends and v begins, and `inverse()` reverses and negates without
+    reducing again.
+    """
 
     __slots__ = ("syllables",)
 
     def __init__(self, syllables: Iterable[tuple[str, int]] = ()):
         object.__setattr__(self, "syllables", _reduce(syllables))
+
+    @classmethod
+    def _of(cls, syllables: tuple[tuple[str, int], ...]) -> "Word":
+        """The word of a syllable tuple that is already freely reduced,
+        taken as it is."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "syllables", syllables)
+        return word
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -65,10 +84,20 @@ class Word:
         return {name for name, _ in self.syllables}
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.syllables + other.syllables)
+        left, right = self.syllables, other.syllables
+        # Both sides are reduced, so only the junction can cancel: step past
+        # syllable pairs that cancel outright, and stop at the first pair
+        # that merges to a nonzero exponent or has two names.
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            exp = left[i - 1][1] + right[j][1]
+            if exp:
+                return Word._of(left[:i - 1] + ((right[j][0], exp),) + right[j + 1:])
+            i, j = i - 1, j + 1
+        return Word._of(left[:i] + right[j:])
 
     def inverse(self) -> "Word":
-        return Word(tuple((name, -exp) for name, exp in reversed(self.syllables)))
+        return Word._of(tuple((name, -exp) for name, exp in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
         if len(self.syllables) == 1:

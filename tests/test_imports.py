@@ -3,7 +3,7 @@ module, every parameter of a package function is read by its body, every
 function, method and class the package defines is referenced from the package
 or the benchmark harness, and every field of a package dataclass is read
 there as an attribute.  Importing the package, its report module and its CLI
-loads no worker-pool machinery."""
+loads no worker-pool machinery and no traceback printer."""
 
 import ast
 import subprocess
@@ -245,15 +245,26 @@ def test_scan_finds_an_unread_field():
 POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
 
 
-def test_importing_the_package_loads_no_worker_pool():
-    """A fresh interpreter that imports the package, the report module and
-    the CLI has not loaded the pool: single-process runs do not pay for it."""
+def loaded_by_importing_the_package(modules: list[str]) -> list[str]:
+    """Those of `modules` that a fresh interpreter has loaded after it
+    imports the package, the report module and the CLI."""
     probe = (
         "import sys\n"
         "import exotic4, exotic4.report, exotic4.cli\n"
-        f"print([m for m in {POOL_MODULES!r} if m in sys.modules])\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip())
+
+
+def test_importing_the_package_loads_no_worker_pool():
+    """Single-process runs do not pay for the pool."""
+    assert loaded_by_importing_the_package(POOL_MODULES) == []
+
+
+def test_importing_the_package_loads_no_traceback_printer():
+    """`traceback` (which loads `textwrap`) is imported only by the branches
+    that print a failure, so a run that fails nothing does not pay for it."""
+    assert loaded_by_importing_the_package(["traceback"]) == []

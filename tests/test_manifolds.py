@@ -265,6 +265,24 @@ def test_a_family_record_abelianizes_each_presentation_once(monkeypatch):
     assert seen == [10, 10, 2]
 
 
+def test_a_sweep_builds_the_base_relators_once_per_k(monkeypatch):
+    # Four k = 2 models and one k = 3 model: X_k's relator list is built
+    # for the first model of each k and shared by the rest.
+    seen = []
+    real = manifolds._common_relators
+
+    def counting(k):
+        seen.append(k)
+        return real(k)
+
+    manifolds._xk_relators.cache_clear()
+    monkeypatch.setattr(manifolds, "_common_relators", counting)
+    spec = report.parse_spec("family k=2 n=1..2 p=0..1\nfamily k=3 n=1 p=0 r=0\nlimit 1000\n")
+    out = report.run(spec)
+    assert out["run"]["models"] == 5
+    assert sorted(seen) == [2, 3]
+
+
 def test_claimed_invariants_normalization():
     assert str(claimed_invariants(1, 1)) == "0"
     assert str(claimed_invariants(2, 3)) == "Z/6"

@@ -262,3 +262,28 @@ def test_an_elimination_rewrites_only_the_relators_that_hold_its_generator(monke
         assert end - begin - 1 == holding - 1, name
         untouched += len(events[begin]) - holding
     assert untouched > 0
+
+
+def assert_reduced(word):
+    # The invariant that junction products and the letter rebuild rely on:
+    # no zero exponent, no two adjacent syllables with one name, and full
+    # reduction leaves the word as it is.
+    syllables = word.syllables
+    assert all(exp != 0 for _, exp in syllables), word
+    assert all(x[0] != y[0] for x, y in zip(syllables, syllables[1:])), word
+    assert Word(syllables) == word
+
+
+def test_family_relators_and_simplifications_are_reduced():
+    cases = [build_Xk(k).presentation for k in (1, 2, 3, 4)]
+    cases += [
+        build_Mkn(FamilyParams(k, n, p, r)).presentation
+        for k in (2, 3, 8) for n in (1, 2) for p in (0, 1, 2) for r in (0, 1, 2)
+    ]
+    for presentation in cases:
+        result = tietze_simplify(presentation)
+        for rel in presentation.relators + result.presentation.relators:
+            assert_reduced(rel)
+        for _, defining, replacement in result.eliminations:
+            assert_reduced(defining)
+            assert_reduced(replacement)

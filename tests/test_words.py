@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from exotic4 import words
 from exotic4.words import MAX_RELATOR_LENGTH, Word, commutator, gen, parse_relation, relator
 from exotic4.words import WordSyntaxError
 
@@ -149,3 +150,60 @@ def test_words_hash_and_compare_by_reduced_form():
     assert hash(a * b * b.inverse()) == hash(a)
     assert a * b != b * a
     assert len({a * b, a * b, b * a}) == 2
+
+
+def _inverted(syllables):
+    return [(name, -exp) for name, exp in reversed(syllables)]
+
+
+def test_junction_products_match_full_reduction():
+    # Products reduce only where the two words meet, and inverses do not
+    # reduce at all; full reduction of the concatenated (or reversed)
+    # syllables is the reference.  Half of the right operands start by
+    # undoing a tail of the left one, so long cascades occur.
+    rng = random.Random(20261021)
+    names = ["a", "b", "c"]
+    cancelling = 0
+    for _ in range(3000):
+        u = Word(random_syllables(rng, names, rng.randint(0, 8)))
+        head = []
+        if rng.random() < 0.5:
+            head = _inverted(u.syllables[len(u.syllables) - rng.randint(0, len(u.syllables)):])
+            if head and rng.random() < 0.5:
+                name, exp = head[-1]
+                head[-1] = (name, exp + rng.choice([-2, -1, 1, 2]))
+        v = Word(head + random_syllables(rng, names, rng.randint(0, 4)))
+        product = u * v
+        assert product.syllables == words._reduce(u.syllables + v.syllables)
+        assert u.inverse().syllables == words._reduce(_inverted(u.syllables))
+        assert commutator(u, v).syllables == words._reduce(
+            _inverted(u.syllables) + _inverted(v.syllables) + list(u.syllables + v.syllables)
+        )
+        assert (u * u.inverse()).syllables == ()
+        cancelling += len(product.syllables) < len(u.syllables) + len(v.syllables) - 1
+    assert cancelling > 300, cancelling
+
+
+@pytest.mark.parametrize(
+    "left,right,expected",
+    [
+        ("a^2", "a^-1", (("a", 1),)),  # a merge to a nonzero exponent
+        ("a*b", "b^-1*a^-1", ()),  # a cascade through the whole word
+        ("c*a*b", "b^-1*a^-2*c", (("c", 1), ("a", -1), ("c", 1))),
+        ("a*b^2", "b^-2*a^-1*c", (("c", 1),)),
+        ("a*b", "1", (("a", 1), ("b", 1))),  # empty operands
+        ("1", "a*b", (("a", 1), ("b", 1))),
+        ("1", "1", ()),
+    ],
+)
+def test_junction_product_cases(left, right, expected):
+    u, v = parse_relation(left), parse_relation(right)
+    assert (u * v).syllables == expected == words._reduce(u.syllables + v.syllables)
+
+
+def test_the_constructor_still_validates_and_reduces():
+    assert Word([("a", 2), ("b", 0), ("a", -2), ("c", 1)]).syllables == (("c", 1),)
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        Word([("a", 1.0)])
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        gen("a") ** 1.5
