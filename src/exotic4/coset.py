@@ -80,7 +80,9 @@ only, so results and counters are exact and repeatable.  The ceiling is not
 an outcome: when it has reached `limit`, a pass that leaves `limit` cosets
 live ends the enumeration, as a full table always did, and below `limit` a
 pass always leaves room.  An enumeration whose limit is at most SOFT_START
-runs exactly as with a ceiling at `limit`.
+runs with its ceiling at `limit` from the start.  Deductions make nearly
+every merge before a table holds SOFT_START cosets: a pass at 10,000 freed
+at most 1.2% of the live cosets in every family enumeration measured.
 
 Hitting the coset limit is an outcome, not an error: callers receive
 LimitExceeded and decide what to do.  So is hitting the work bound of
@@ -102,17 +104,20 @@ DEFAULT_LIMIT = 1_000_000
 # `limit` cosets, whatever the live count.  A completed run needs more
 # definitions per unit of limit the larger its index and the nearer its limit
 # to the lowest one that completes; the most measured on the family models
-# is 1.78 (pi1 of order 16; 6.77 before deductions were processed), so 12
+# is 1.79 (pi1 of order 16; 6.77 before deductions were processed), so 12
 # leaves a wide margin.  The bound counts definitions, not the deduction
 # traces that follow each one, so a run that churns to it spends most of its
 # time in `deduce`: M(2,1) with p = 0, r = 1 at limit 100,000 takes about
-# 7 s, about 5 s of it in `deduce` (2-vCPU VM, Python 3.11).
+# 6 s, over 4 s of it in `deduce`, and peaks at 55 MiB (2-vCPU VM, Python
+# 3.11).
 WORK_BOUND = 12
-# The soft ceiling's start (see the module docstring).  It lies below the
-# lowest limits at which the M(2,1) complement (12,237) and pi1 (44,486) were
-# seen to complete, so both collapse from a table far smaller than the
-# default limit.
-SOFT_START = 10_000
+# The soft ceiling's start (see the module docstring).  It also sets the
+# ceilings that follow: from 20,000 they are 40,000 and 80,000, and the
+# M(2,2) complement collapses below 80,000, from 73,007 live cosets.
+# Starting at 80,000 lets it grow to 124,514, and starting at 16,000
+# (ceilings 32,000, 64,000, then 128,000) to 128,000.  Leaving out the pass
+# at 10,000 moved max_live only for the M(2,1) complement, 14,738 -> 14,848.
+SOFT_START = 20_000
 
 
 @dataclass(frozen=True)

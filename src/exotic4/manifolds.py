@@ -420,23 +420,26 @@ def apply_schedule(base: ManifoldModel, moves) -> ManifoldModel:
     those.
     """
     relators = list(base.presentation.relators)
+    # Each relator's syllables, kept in step with `relators`: a relation is
+    # found by comparing tuples, without a Word.__eq__ call per relator.
+    keys = [rel.syllables for rel in relators]
     for mv in moves:
         for rel in mv.added_relations:
             _check_length(mv.torus_label, rel.length)
         slot = None
         for rel in mv.removed_relations:
             try:
-                i = relators.index(rel)
+                i = keys.index(rel.syllables)
             except ValueError:
                 raise ScheduleMismatchError(
                     f"move {mv.torus_label!r} removes {rel}, which is not a relator"
                 ) from None
-            del relators[i]
+            del relators[i], keys[i]
             slot = i if slot is None else min(slot, i)
         if slot is None:
-            relators.extend(mv.added_relations)
-        else:
-            relators[slot:slot] = mv.added_relations
+            slot = len(relators)
+        relators[slot:slot] = mv.added_relations
+        keys[slot:slot] = [rel.syllables for rel in mv.added_relations]
     presentation = Presentation(base.presentation.generators, relators)
     h1 = abelian_invariants(presentation)
     return ManifoldModel(

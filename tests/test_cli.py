@@ -193,7 +193,7 @@ custom k=2 name=tweak
 end
 limit 20000
 """
-WIDE_SHA256 = "576246011e54a508adc2f30673f1722127051a836e003cf3ec93fb380e7880da"
+WIDE_SHA256 = "263fd89e580a18377929fe7724a7f0b51163c0b727cb82a281fb3c74dfbfe743"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

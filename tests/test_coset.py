@@ -6,7 +6,12 @@ import random
 import pytest
 
 from _oracles import reference_lookahead
-from exotic4.manifolds import FamilyParams, build_Mkn, complement_presentation
+from exotic4.manifolds import (
+    COMPLEMENT_SUBGROUP,
+    FamilyParams,
+    build_Mkn,
+    complement_presentation,
+)
 from exotic4.words import Word, commutator, gen, parse_relation
 from exotic4.presentations import Presentation, tietze_simplify, word_letters
 from exotic4.coset import (
@@ -51,12 +56,13 @@ def test_finite_groups_enumerate_to_their_order(presentation, order):
 
 
 def test_infinite_group_hits_the_limit():
-    # Above SOFT_START, lookahead runs at a soft ceiling that doubles up to
-    # the limit: 10,000, 20,000 and 25,000 here, one pass at each, since the
-    # free group never collapses.  The outcome still reports the limit, not
-    # the ceiling.
-    assert SOFT_START == 10_000
-    for limit, passes in ((500, 1), (25_000, 3)):
+    # Up to SOFT_START the ceiling is the limit, so the free group fills the
+    # table and makes one pass, at the limit.  Above it, lookahead runs at a
+    # soft ceiling that doubles up to the limit: 20,000 and 25,000 here, one
+    # pass at each, since the free group never collapses.  The outcome still
+    # reports the limit, not the ceiling.
+    assert SOFT_START == 20_000
+    for limit, passes in ((500, 1), (15_000, 1), (25_000, 2)):
         outcome = enumerate_cosets(FREE2, limit=limit)
         assert not outcome.completed
         assert outcome.result == LimitExceeded(limit)
@@ -66,8 +72,8 @@ def test_infinite_group_hits_the_limit():
 
 def test_work_is_bounded_when_coincidences_keep_the_table_below_the_limit():
     # M(2,1) with p = 0, r = 1 has infinite pi1.  At 100,000 lookahead runs
-    # at soft ceilings of 10,000, 20,000 and 40,000; from then on HLT defines
-    # cosets that coincidences keep reclaiming, mostly while deductions are
+    # at soft ceilings of 20,000 and 40,000; from then on HLT defines cosets
+    # that coincidences keep reclaiming, mostly while deductions are
     # processed, and the table never again reaches the ceiling of 80,000, let
     # alone the limit.  Without end: the work bound stops it at WORK_BOUND *
     # limit definitions, and no more ids than that are ever made.
@@ -76,7 +82,7 @@ def test_work_is_bounded_when_coincidences_keep_the_table_below_the_limit():
     result = enum.run()
     assert isinstance(result, LimitExceeded) and result.cosets_used < 100_000
     assert enum.definitions == WORK_BOUND * 100_000 == len(enum.table) - 1
-    assert enum.max_live == 43_086 and enum.lookahead_passes == 3
+    assert enum.max_live == 43_086 and enum.lookahead_passes == 2
     assert sum(row is not None for row in enum.table) == enum.live <= 100_000
 
 
@@ -84,16 +90,24 @@ def test_the_work_bound_leaves_room_above_the_hardest_completed_runs():
     # A completed run needs more definitions per unit of limit the larger its
     # index and the nearer its limit to the lowest one that completes.  Of
     # the family models measured, M(2,1,4,4) (pi1 of order 16) needs the
-    # most, 1.78 x limit at 53,400, and 1.42 x limit at 64,000; M(3,1,2,2)
-    # at 100,000 is perfbench's finite-index-k3 workload.  All complete, far
-    # inside the bound.
+    # most, 1.79 x limit at 53,400, and 1.42 x limit at 64,000; M(3,1,2,2)
+    # at 100,000 is perfbench's finite-index-k3 workload.  Up to SOFT_START
+    # the M(2,1) complement over <b2> runs with its ceiling at the limit: at
+    # 12,237, the lowest limit at which it completes, it needs 1.20 x limit,
+    # and at 14,847, one coset short of the table it collapses from at
+    # larger limits, 1.33 x limit.  All complete, far inside the bound.
+    m3122 = (build_Mkn(FamilyParams(3, 1, 2, 2)).presentation, ())
+    m2144 = (build_Mkn(FamilyParams(2, 1, 4, 4)).presentation, ())
+    complement = (complement_presentation(build_Mkn(FamilyParams(2, 1))), (COMPLEMENT_SUBGROUP,))
     cases = [
-        (FamilyParams(3, 1, 2, 2), 100_000, Completed(4), 106_735),
-        (FamilyParams(2, 1, 4, 4), 64_000, Completed(16), 90_731),
-        (FamilyParams(2, 1, 4, 4), 53_400, Completed(16), 95_292),
+        (m3122, 100_000, Completed(4), 106_895),
+        (m2144, 64_000, Completed(16), 90_801),
+        (m2144, 53_400, Completed(16), 95_362),
+        (complement, 12_237, Completed(1), 14_733),
+        (complement, 14_847, Completed(1), 19_796),
     ]
-    for params, limit, result, definitions in cases:
-        outcome = enumerate_cosets(build_Mkn(params).presentation, limit)
+    for (presentation, subgroup), limit, result, definitions in cases:
+        outcome = enumerate_cosets(presentation, limit, subgroup)
         assert (outcome.result, outcome.stats.definitions) == (result, definitions)
         assert 3 * definitions <= 2 * WORK_BOUND * limit
 
@@ -289,7 +303,7 @@ def test_every_definition_goes_through_define(monkeypatch):
         outcome = enumerate_cosets(presentation, limit=limit)
         assert defined == outcome.stats.definitions, (presentation, limit)
         total += defined
-    assert outcome.stats.definitions == 60_736 and total > 60_736
+    assert outcome.stats.definitions == 60_795 and total > 60_795
 
 
 def test_lookahead_skips_only_closed_cosets(monkeypatch):
