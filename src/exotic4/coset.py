@@ -75,7 +75,7 @@ define, deduce and merge nothing.
 The soft ceiling runs lookahead long before the table reaches `limit`, so
 a table that collapses does so while small.  It starts at min(limit,
 SOFT_START), and after each lookahead pass it doubles, capped at `limit`,
-while more than half of it is live.  Start and growth depend on counts
+if more than half of it is live.  Start and growth depend on counts
 only, so results and counters are exact and repeatable.  The ceiling is not
 an outcome: when it has reached `limit`, a pass that leaves `limit` cosets
 live ends the enumeration, as a full table always did, and below `limit` a
@@ -400,8 +400,8 @@ class _Enumerator:
     def _lookahead(self, start: int) -> bool:
         """Trace every relator at every live coset from `start` on without
         defining, hoping coincidences free enough room to continue.  Then
-        double the soft ceiling, capped at `limit`, while more than half of
-        it is live.  Returns whether the table has room for another coset,
+        double the soft ceiling, capped at `limit`, if more than half of it
+        is live.  Returns whether the table has room for another coset,
         which below `limit` it always has.
 
         Cosets below `start` are skipped: HLT has scanned each of them
@@ -465,7 +465,9 @@ class _Enumerator:
                         rels = eligible[m]
                         rels = rels[rels.index(rel) + 1:]
                         break
-        while self.live > self.soft // 2 and self.soft < self.limit:
+        # One doubling suffices: `define` keeps live <= soft, so after it
+        # live <= soft // 2 or soft = limit.
+        if self.live > self.soft // 2 and self.soft < self.limit:
             self.soft = min(2 * self.soft, self.limit)
         return self.live < self.limit
 
@@ -520,7 +522,7 @@ def enumerate_cosets(
 
     A lookahead pass runs whenever a definition is due with the soft
     ceiling's count of cosets live: min(limit, SOFT_START) at first, then
-    doubled after a pass, up to `limit`, while more than half of it is live.
+    doubled after a pass, up to `limit`, if more than half of it is live.
     LimitExceeded is returned when a pass leaves `limit` cosets live, or
     when a definition is due after WORK_BOUND * limit of them.
     The second rule makes every enumeration end, after at most that many

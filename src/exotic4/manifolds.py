@@ -294,48 +294,28 @@ def schedule_Mkn(params: FamilyParams) -> tuple[SurgeryMove, ...]:
     twist = commutator(b2, c1.inverse())
     _check_length("a2'' x d1'", twist.length * n + 1)
 
-    def move(torus, coeff, pre, post):
-        return SurgeryMove(torus, coeff, (pre,), (post,))
+    def move(torus, coeff, pre, curve):
+        return SurgeryMove(torus, coeff, (pre,), (relator(pre, curve),))
 
     moves = [
-        move("a1' x c1'", "-1",
-             commutator(b1.inverse(), d1.inverse()),
-             relator(commutator(b1.inverse(), d1.inverse()), a1)),
-        move("b1' x c1''", "-1",
-             commutator(a1.inverse(), d1),
-             relator(commutator(a1.inverse(), d1), b1)),
-        move("a2' x c1'", "-1",
-             commutator(b2.inverse(), d1.inverse()),
-             relator(commutator(b2.inverse(), d1.inverse()), c1)),
-        move("a2'' x d1'", "-n", twist, relator(twist ** n, d1)),
+        move("a1' x c1'", "-1", commutator(b1.inverse(), d1.inverse()), a1),
+        move("b1' x c1''", "-1", commutator(a1.inverse(), d1), b1),
+        move("a2' x c1'", "-1", commutator(b2.inverse(), d1.inverse()), c1),
+        SurgeryMove("a2'' x d1'", "-n", (twist,), (relator(twist ** n, d1),)),
     ]
-    if k >= 2:
-        c2, d2 = gen("c2"), gen("d2")
-        moves += [
-            move("a2' x c2'", "-1/p",
-                 commutator(b2.inverse(), d2.inverse()),
-                 relator(commutator(b2.inverse(), d2.inverse()), c2 ** p)),
-            move("a2'' x d2'", "-1/r",
-                 commutator(b2, c2.inverse()),
-                 relator(commutator(b2, c2.inverse()), d2 ** r)),
-        ]
-    for j in range(3, k + 1):
+    for j in range(2, k + 1):
         cj, dj = gen(f"c{j}"), gen(f"d{j}")
+        coeffs, curves = ("-1", "-1"), (cj, dj)
+        if j == 2:
+            coeffs, curves = ("-1/p", "-1/r"), (cj ** p, dj ** r)
         moves += [
-            move(f"a2' x c{j}'", "-1",
-                 commutator(b2.inverse(), dj.inverse()),
-                 relator(commutator(b2.inverse(), dj.inverse()), cj)),
-            move(f"a2'' x d{j}'", "-1",
-                 commutator(b2, cj.inverse()),
-                 relator(commutator(b2, cj.inverse()), dj)),
+            move(f"a2' x c{j}'", coeffs[0], commutator(b2.inverse(), dj.inverse()), curves[0]),
+            move(f"a2'' x d{j}'", coeffs[1], commutator(b2, cj.inverse()), curves[1]),
         ]
     moves += [
         move(f"b1'' x d{k + 1}'", "-1",
-             ct.inverse() * a1 * a2 * ct * a1.inverse() * a2.inverse(),
-             relator(ct.inverse() * a1 * a2 * ct * a1.inverse() * a2.inverse(), dk1)),
-        move("(b1~ b2~) x ct'", "-1",
-             commutator(a1, dk1.inverse()),
-             relator(commutator(a1, dk1.inverse()), ct)),
+             ct.inverse() * a1 * a2 * ct * a1.inverse() * a2.inverse(), dk1),
+        move("(b1~ b2~) x ct'", "-1", commutator(a1, dk1.inverse()), ct),
     ]
     return tuple(moves)
 

@@ -495,7 +495,7 @@ def run_family_model(params: FamilyParams, limit: int) -> dict:
                 "type": None,
                 "reason": homeo.reason,
             }
-        irr = irreducibility_check(classes, params.k)
+        irr = irreducibility_check(classes)
         verdicts["irreducibility"] = {
             "status": "pass" if irr.passed else "fail",
             "squares": list(irr.squares),

@@ -42,9 +42,6 @@ class ClassVector:
     def square(self) -> int:
         return 2 * self.s * self.t
 
-    def __neg__(self) -> "ClassVector":
-        return ClassVector(-self.s, -self.t, -self.j)
-
     def __sub__(self, other: "ClassVector") -> "ClassVector":
         return ClassVector(self.s - other.s, self.t - other.t, self.j - other.j)
 
@@ -146,8 +143,9 @@ class IrreducibilityVerdict:
         return all(x in self.allowed for x in self.squares)
 
 
-def irreducibility_check(classes: BasicClassSet, k: int) -> IrreducibilityVerdict:
-    """Pairwise (L-L')^2 over all ordered pairs must land in {0, 32k}.
+def irreducibility_check(classes: BasicClassSet) -> IrreducibilityVerdict:
+    """Pairwise (L-L')^2 over all ordered pairs must land in {0, 32k}, with k
+    read from the class set's context.
 
     In particular -4 never occurs, which rules out splitting off a standard
     piece in a connected-sum decomposition; a pass records the model as
@@ -160,7 +158,7 @@ def irreducibility_check(classes: BasicClassSet, k: int) -> IrreducibilityVerdic
         raise ContractError("irreducibility check needs a nonempty class set")
     points = {ClassVector(c.s, c.t) for c in classes.classes}
     squares = sorted({(a - b).square for a in points for b in points})
-    return IrreducibilityVerdict(tuple(squares), (0, 32 * k))
+    return IrreducibilityVerdict(tuple(squares), (0, 32 * classes.context[0]))
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def test_criterion_09_square_differences_certify_irreducibility():
         for n in (1, 2, 3, 4):
             for m in (1, 2, 3, 4):
                 classes = basic_classes(k, n, m)
-                verdict = irreducibility_check(classes, k)
+                verdict = irreducibility_check(classes)
                 assert verdict.passed, f"(k,n,m)=({k},{n},{m})"
                 assert set(verdict.squares) <= {0, 32 * k}
     print("criterion 9: all pairwise (L - L')^2 in {0, 32k}")

@@ -214,6 +214,32 @@ def test_an_over_long_family_relation_fails_its_record_at_once():
         ), params
 
 
+# sha256 of one row per as-built presentation (X_k, Z_k, M(k, n, p, r)) and
+# per schedule move (label, coefficient, removed and added relations) over
+# the grid below.  A change that alters a relator, its letters or its place
+# in the list changes the digest.
+PRESENTATIONS_SHA256 = "ba61c4f4f28b4a61a26da7a51c4b36d15271946b9bec424dd310fc9a185c4dce"
+PIN_KS = (1, 2, 3, 4, 5, 8)
+PIN_FAMILY = [
+    FamilyParams(k, n, p, r)
+    for k in PIN_KS for n in (1, 2, 3) for p in (0, 1, 2, 3) for r in (0, 1, 2, 5)
+]
+
+
+def test_the_as_built_presentations_are_pinned():
+    rows = [f"X{k} {build_Xk(k).presentation}" for k in PIN_KS]
+    rows += [f"Z{k} {build_Zk(k).presentation}" for k in PIN_KS if k >= 2]
+    for params in PIN_FAMILY:
+        rows.append(f"{params.name} {build_Mkn(params).presentation}")
+        rows += [
+            f"  {mv.torus_label} {mv.coefficient} "
+            f"{list(map(str, mv.removed_relations))} -> {list(map(str, mv.added_relations))}"
+            for mv in schedule_Mkn(params)
+        ]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == PRESENTATIONS_SHA256, digest
+
+
 def test_surgery_preserves_euler_number_and_signature():
     for params in (
         FamilyParams(2, 1), FamilyParams(2, 3, 2, 3),

@@ -18,6 +18,7 @@ from exotic4.manifolds import (
     transformed_form,
 )
 from exotic4.sw import (
+    BasicClassSet,
     ClassVector,
     ContractError,
     basic_classes,
@@ -43,7 +44,6 @@ def test_class_vector_square_is_twice_the_mixed_product():
     assert ClassVector(2, -2).square == -8
     assert ClassVector(0, 5, 7).square == 0  # the extra class is null
     v = ClassVector(4, 2, 1)
-    assert (-v) == ClassVector(-4, -2, -1)
     assert v - ClassVector(2, 2, -1) == ClassVector(2, 0, 2)
     assert str(v) == "4A+2B+1T"
 
@@ -111,7 +111,7 @@ def test_basic_classes_closed_under_negation():
             for m in (1, 2, 3):
                 classes = basic_classes(k, n, m)
                 as_set = set(classes.classes)
-                assert {-c for c in as_set} == as_set
+                assert {ClassVector(-c.s, -c.t, -c.j) for c in as_set} == as_set
                 # the offset parity matches the multiplicity parity
                 assert all((c.j - (m - 1)) % 2 == 0 for c in as_set)
 
@@ -230,12 +230,12 @@ def test_pairwise_square_differences_stay_in_the_allowed_set(monkeypatch):
         for n in (1, 4):
             for m in (1, 2, 4):
                 classes = basic_classes(k, n, m)
-                verdict = irreducibility_check(classes, k)
+                verdict = irreducibility_check(classes)
                 assert verdict.passed
                 assert set(verdict.squares) <= {0, 32 * k}
                 assert verdict.allowed == (0, 32 * k)
     # both values actually occur for the two-class spectrum
-    verdict = irreducibility_check(basic_classes(2, 1, 1), 2)
+    verdict = irreducibility_check(basic_classes(2, 1, 1))
     assert set(verdict.squares) == {0, 64}
     # The 600 classes at m = 300 project to two (s, t) points: a handful of
     # differences, not the 360,000 ordered pairs of the classes themselves.
@@ -247,15 +247,16 @@ def test_pairwise_square_differences_stay_in_the_allowed_set(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(ClassVector, "__sub__", counting)
-    verdict = irreducibility_check(basic_classes(2, 1, 300), 2)
+    verdict = irreducibility_check(basic_classes(2, 1, 300))
     assert verdict.squares == (0, 64) and verdict.passed
     assert len(calls) <= 16
 
 
 def test_irreducibility_flags_foreign_differences():
-    classes = basic_classes(2, 1, 1)
-    verdict = irreducibility_check(classes, 3)  # wrong genus: 32k mismatch
-    assert not verdict.passed
+    # (2, 4) - (0, 2) = (2, 2) has square 8, outside {0, 64} for k = 2.
+    classes = BasicClassSet((2, 1, 1), ((ClassVector(0, 2), 1), (ClassVector(2, 4), 1)))
+    verdict = irreducibility_check(classes)
+    assert verdict.squares == (0, 8) and not verdict.passed
 
 
 # ---------------------------------------------------------------- distinction
